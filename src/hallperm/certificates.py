@@ -16,10 +16,10 @@ import json
 import os
 
 from .errors import GroupError, Caps, DEFAULT_CAPS
-from .group import PermGroup, Permutation, attach_block_structure
+from .group import PermGroup, Permutation, subgroup_check
 from .hall import pi_part, is_pi_number
 from .subgroup import is_conjugate, is_normal
-from .pronormal import _decide_in_joint
+from .pronormal import replay_non_pronormality, replay_non_strong_pronormality
 
 SCHEMA = "hall-pronormality-certificate/v1"
 
@@ -201,9 +201,7 @@ def verify_certificate(cert: dict, caps: Caps = DEFAULT_CAPS):
 
 def _rebuild_subgroup(parent: PermGroup, payload: dict) -> PermGroup:
     sub = rebuild_group(payload)
-    for g in sub.generators:
-        if not parent.contains(g):
-            raise GroupError("certificate subgroup is not inside the ambient group")
+    subgroup_check(parent, sub)
     return sub
 
 
@@ -226,44 +224,19 @@ def _verify_conjugacy_witness(cert, caps):
 def _verify_non_pronormality(cert, caps):
     group = rebuild_group(cert["group"])
     payload = cert["payload"]
-    subject = _rebuild_subgroup(group, payload["subject"])
-    g = perm_from_payload(payload["witness_g"], group.degree)
-    if not group.contains(g):
-        return False, "witness g is outside the ambient group"
-    conj_gens = tuple(x.conj(g) for x in subject.generators)
-    joint = PermGroup(group.degree, subject.generators + conj_gens)
-    blocks = payload["joint"].get("blocks")
-    if blocks:
-        structured = attach_block_structure(joint, [tuple(b) for b in blocks])
-        if structured is not None:
-            joint = structured
-    if joint.order() != payload["joint"]["order"]:
-        return False, "joint order mismatch"
-    hg = PermGroup(group.degree, conj_gens)
-    status, data = _decide_in_joint(joint, subject, hg, caps)
-    if status != "absent":
-        return False, f"replay found status {status}"
-    return True, "no conjugator exists in the joint (rescanned)"
+    return replay_non_pronormality(group, rebuild_group(payload["subject"]),
+                                   perm_from_payload(payload["witness_g"], group.degree),
+                                   payload["joint"]["order"], payload["joint"].get("blocks"),
+                                   caps)
 
 
 def _verify_non_strong_pronormality(cert, caps):
     group = rebuild_group(cert["group"])
     payload = cert["payload"]
-    subject = _rebuild_subgroup(group, payload["subject"])
-    k = _rebuild_subgroup(group, payload["k"])
-    for gen in k.generators:
-        if not subject.contains(gen):
-            return False, "k is not a subgroup of the subject"
-    g = perm_from_payload(payload["witness_g"], group.degree)
-    kg_gens = tuple(x.conj(g) for x in k.generators)
-    joint = PermGroup(group.degree, subject.generators + kg_gens)
-    if joint.order() != payload["joint_order"]:
-        return False, "joint order mismatch"
-    subject_set = subject.element_set(caps)
-    for x in joint.elements(caps):
-        if all(kg.conj(x) in subject_set for kg in kg_gens):
-            return False, "replay found a conjugator into the subject"
-    return True, "no element of the joint conjugates k^g into the subject"
+    return replay_non_strong_pronormality(group, rebuild_group(payload["subject"]),
+                                          rebuild_group(payload["k"]),
+                                          perm_from_payload(payload["witness_g"], group.degree),
+                                          payload["joint_order"], caps)
 
 
 def _verify_hall_classes(cert, caps):

@@ -154,17 +154,7 @@ class StabilizerChain:
             if not self.sift(g).is_identity:
                 raise GroupError("strong generator fails to sift")
         for i, lvl in enumerate(self.levels):
-            gens = self._suffix_gens(i)
-            orbit = {lvl.beta}
-            frontier = [lvl.beta]
-            while frontier:
-                pt = frontier.pop()
-                for s in gens:
-                    img = s[pt]
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            if orbit != set(lvl.transversal):
+            if orbit([lvl.beta], self._suffix_gens(i), _image) != set(lvl.transversal):
                 raise GroupError(f"basic orbit mismatch at level {i}")
             for pt, u in lvl.transversal.items():
                 if u[lvl.beta] != pt:
@@ -182,12 +172,6 @@ class DirectFactorStructure:
     blocks: tuple
     factor_groups: tuple
     shift: Optional[Permutation] = None
-
-    def block_index(self, point):
-        for i, block in enumerate(self.blocks):
-            if point in block:
-                return i
-        return None
 
 
 class PermGroup:
@@ -231,10 +215,6 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def contains(self, p: Permutation) -> bool:
         if len(p) != self.degree:
             raise DegreeMismatch(f"degree {len(p)} element against degree-{self.degree} group")
@@ -269,16 +249,7 @@ class PermGroup:
         """Orbit of a point, as a sorted tuple."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside 0..{self.degree - 1}")
-        seen = {point}
-        frontier = deque([point])
-        while frontier:
-            pt = frontier.popleft()
-            for g in self.generators:
-                img = g[pt]
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-        return tuple(sorted(seen))
+        return tuple(sorted(orbit([point], self.generators, _image)))
 
     def conjugate(self, g: Permutation) -> "PermGroup":
         return PermGroup(self.degree, [h.conj(g) for h in self.generators])
@@ -290,10 +261,6 @@ class PermGroup:
 
 def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, ())
-
-
-def generated_subgroup(degree: int, gens) -> PermGroup:
-    return PermGroup(degree, gens)
 
 
 def group_from_elements(degree: int, elements) -> PermGroup:
@@ -309,25 +276,27 @@ def group_from_elements(degree: int, elements) -> PermGroup:
     return PermGroup(degree, gens, chain=chain)
 
 
-def closure_elements(gens, degree, limit=None):
-    """Element set generated by gens; None if it would exceed limit.
+def orbit(seeds, gens, act, limit=None):
+    """Breadth-first closure of seeds under x -> act(x, g) for g in gens.
 
-    Plain BFS closure over left-to-right products; deterministic order.
+    Returns the orbit as a set, or None once it would exceed limit points.
     """
-    identity = Permutation.identity(degree)
-    seen = {identity}
-    frontier = deque([identity])
-    gens = [g for g in gens if not g.is_identity]
+    seen = set(seeds)
+    frontier = deque(seen)
     while frontier:
-        e = frontier.popleft()
+        x = frontier.popleft()
         for g in gens:
-            prod = e * g
-            if prod not in seen:
+            y = act(x, g)
+            if y not in seen:
                 if limit is not None and len(seen) >= limit:
                     return None
-                seen.add(prod)
-                frontier.append(prod)
+                seen.add(y)
+                frontier.append(y)
     return seen
+
+
+def _image(point, g):
+    return g[point]
 
 
 def subgroup_check(parent: PermGroup, sub: PermGroup):
@@ -530,10 +499,7 @@ def deflate(p: Permutation, block) -> Permutation:
 
 def inflate(p: Permutation, block, degree: int) -> Permutation:
     """Embed a block-indexed permutation back into the full point set."""
-    images = list(range(degree))
-    for i, pt in enumerate(block):
-        images[pt] = block[p[i]]
-    return Permutation(images, check=False)
+    return combine_blockwise([p], [block], degree)
 
 
 def preserves_blocks(p: Permutation, blocks) -> bool:

@@ -12,17 +12,18 @@ subgroup lattice.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
-from .group import PermGroup, coset_action, group_from_elements, normal_closure, trivial_group
+from .group import (PermGroup, coset_action, group_from_elements, normal_closure, orbit,
+                    trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
-from .subgroup import (Subgroup, _as_group, _joined_closure, _set_sort_key, all_subgroups,
-                       all_sylow_subgroups, conjugate_into, element_conjugacy_classes,
-                       is_normal, subgroup_conjugacy_classes, sylow)
+from .subgroup import (Subgroup, _as_group, _set_sort_key, all_subgroups, all_sylow_subgroups,
+                       conjugate_into, element_conjugacy_classes, is_normal, join_lattice,
+                       subgroup_conjugacy_classes, sylow)
 
 
 class PrimeSet(frozenset):
@@ -81,7 +82,7 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
     cache_key = ("hall", tuple(sorted(pi)))
     cached = parent._cache.get(cache_key)
     if cached is not None:
-        return [Subgroup(parent, g) for g in cached]
+        return list(cached)
 
     order = parent.order()
     target = pi_part(order, pi)
@@ -105,7 +106,7 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
                 gens = gens + q.generators
             if len(seed) > target:
                 continue
-            closed = _joined_closure(seed, gens, parent.degree, target)
+            closed = orbit(seed, gens, operator.mul, target)
             if closed is None or len(closed) != target:
                 continue
             key = frozenset(closed)
@@ -113,8 +114,8 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
                 candidates[key] = group_from_elements(parent.degree, key)
         groups = [candidates[k] for k in sorted(candidates, key=_set_sort_key)]
         result = [rep for rep, _ in subgroup_conjugacy_classes(parent, groups, caps)]
-    parent._cache[cache_key] = result
-    return [Subgroup(parent, g) for g in result]
+    cached = parent._cache[cache_key] = [Subgroup(parent, g) for g in result]
+    return list(cached)
 
 
 @dataclass(frozen=True)
@@ -188,42 +189,16 @@ def all_normal_subgroups(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
     """
     cached = parent._cache.get("normal_subgroups")
     if cached is None:
-        degree = parent.degree
         seeds = {}
         for cls in element_conjugacy_classes(parent, caps):
             rep = cls[0]
             if rep.is_identity:
                 continue
             closure = normal_closure(parent, [rep], caps)
-            key = closure.element_set(caps)
-            if key not in seeds:
-                seeds[key] = closure.generators
-        seed_items = sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))
-        normals = {frozenset([parent.identity]): ()}
-        queue = deque()
-        for key, gens in seed_items:
-            if key not in normals:
-                normals[key] = gens
-                queue.append(key)
-        while queue:
-            key = queue.popleft()
-            gens = normals[key]
-            for skey, sgens in seed_items:
-                if skey <= key:
-                    continue
-                joined = frozenset(_joined_closure(key | skey, gens + sgens, degree, None))
-                if joined not in normals:
-                    normals[joined] = gens + sgens
-                    queue.append(joined)
-        result = []
-        for key in sorted(normals, key=_set_sort_key):
-            g = PermGroup(degree, normals[key])
-            g._cache["elements"] = sorted(key)
-            g._cache["element_set"] = key
-            result.append(g)
-        parent._cache["normal_subgroups"] = result
-        cached = result
-    return [Subgroup(parent, g) for g in cached]
+            seeds.setdefault(closure.element_set(caps), closure.generators)
+        cached = [Subgroup(parent, g) for g in join_lattice(parent, seeds)]
+        parent._cache["normal_subgroups"] = cached
+    return list(cached)
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:

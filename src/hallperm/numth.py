@@ -4,8 +4,6 @@ Everything is plain trial division; the orders handled here stay well below
 10^12, where this is instant and has no failure modes.
 """
 
-import math
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -53,23 +51,3 @@ def is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def factorization(n: int):
-    """Prime factorization as a dict prime -> exponent."""
-    if n < 1:
-        raise ValueError("factorization needs a positive integer")
-    out = {}
-    for p in prime_divisors(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        out[p] = e
-    return out
-
-
-def isqrt_exact(n: int):
-    r = math.isqrt(n)
-    return r if r * r == n else None

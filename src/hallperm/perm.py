@@ -84,9 +84,6 @@ class Permutation(tuple):
             raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
         return Permutation(map(other.__getitem__, self), check=False)
 
-    def __rmul__(self, other):  # pragma: no cover - symmetry only
-        return Permutation(other, check=True) * self
-
     def __invert__(self) -> "Permutation":
         inv = [0] * len(self)
         for i, x in enumerate(self):
@@ -159,8 +156,3 @@ class Permutation(tuple):
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right product: apply p first, then q."""
     return p * q
-
-
-def conjugate_elements(elems, g: Permutation):
-    """Conjugate every permutation in elems by g, preserving order."""
-    return [e.conj(g) for e in elems]

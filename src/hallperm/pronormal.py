@@ -123,13 +123,11 @@ def _decide_in_joint(joint: PermGroup, h: PermGroup, hg: PermGroup, caps: Caps):
     return "capped", f"joint of order {joint.order()} admits neither exhaustive nor blockwise search"
 
 
-def _joint_of(g_parent: PermGroup, h: PermGroup, conj_gens) -> PermGroup:
+def _joint_of(h: PermGroup, conj_gens, blocks) -> PermGroup:
+    """<h, conj_gens>, carrying the block structure when it splits over blocks."""
     joint = PermGroup(h.degree, h.generators + tuple(conj_gens))
-    structure = g_parent.factors
-    if structure is not None and joint.order() > 0:
-        structured = attach_block_structure(joint, structure.blocks)
-        if structured is not None:
-            return structured
+    if blocks:
+        joint = attach_block_structure(joint, blocks) or joint
     return joint
 
 
@@ -147,7 +145,7 @@ def pronormality_instance(parent: PermGroup, h, g: Permutation,
     conj_gens = [x.conj(g) for x in h.generators]
     if all(h.contains(c) for c in conj_gens):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
-    joint = _joint_of(parent, h, conj_gens)
+    joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
     hg = PermGroup(h.degree, conj_gens)
     status, data = _decide_in_joint(joint, h, hg, caps)
     if status == "found":
@@ -212,7 +210,7 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
         if t.is_identity:
             continue
         conj_gens = [x.conj(t) for x in h.generators]
-        joint = _joint_of(parent, h, conj_gens)
+        joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
         hg = PermGroup(h.degree, conj_gens)
         status, data = _decide_in_joint(joint, h, hg, caps)
         checked += 1
@@ -231,17 +229,35 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
     return PronormalityReport(h, parent, True, checked_coset_count=checked)
 
 
+def replay_non_pronormality(parent: PermGroup, h: PermGroup, g: Permutation, joint_order: int,
+                            blocks, caps: Caps = DEFAULT_CAPS):
+    """Replay "no x in J = <H, H^g> has H^x = H^g"; returns (ok, detail).
+
+    Checks H <= parent and g in parent, rebuilds J (split over blocks when
+    given), compares its order with the claimed one and reruns the
+    conjugator search in J, which must again find nothing.
+    """
+    if not parent.contains_group(h):
+        return False, "subject is not inside the ambient group"
+    if not parent.contains(g):
+        return False, "witness g is outside the ambient group"
+    conj_gens = tuple(x.conj(g) for x in h.generators)
+    joint = _joint_of(h, conj_gens, blocks)
+    if joint.order() != joint_order:
+        return False, "joint order mismatch"
+    status, _ = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
+    if status != "absent":
+        return False, f"replay found status {status}"
+    return True, "no conjugator exists in the joint (rescanned)"
+
+
 def replay_pronormality_failure(report: PronormalityReport, caps: Caps = DEFAULT_CAPS) -> bool:
     """Re-verify a negative report from its witness data alone."""
     if report.verdict is not False or report.failure is None:
         raise GroupError("only negative reports replay")
     fail = report.failure
-    h = report.subject
-    hg = PermGroup(h.degree, tuple(x.conj(fail.g) for x in h.generators))
-    if not (fail.joint.contains_group(h) and fail.joint.contains_group(hg)):
-        return False
-    status, _ = _decide_in_joint(fail.joint, h, hg, caps)
-    return status == "absent"
+    return replay_non_pronormality(report.ambient, report.subject, fail.g, fail.joint.order(),
+                                   fail.joint.factors and fail.joint.factors.blocks, caps)[0]
 
 
 def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> StrongPronormalityReport:
@@ -285,16 +301,35 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
     return StrongPronormalityReport(h, parent, True, checked_pair_count=checked)
 
 
+def replay_non_strong_pronormality(parent: PermGroup, h: PermGroup, k: PermGroup,
+                                   g: Permutation, joint_order: int, caps: Caps = DEFAULT_CAPS):
+    """Replay "no x in J = <H, K^g> has K^(gx) <= H"; returns (ok, detail).
+
+    Checks H <= parent, K <= H and g in parent, rebuilds J, compares its
+    order with the claimed one and rescans J for a conjugator.
+    """
+    if not parent.contains_group(h):
+        return False, "subject is not inside the ambient group"
+    if not h.contains_group(k):
+        return False, "k is not a subgroup of the subject"
+    if not parent.contains(g):
+        return False, "witness g is outside the ambient group"
+    kg = PermGroup(parent.degree, tuple(x.conj(g) for x in k.generators))
+    joint = PermGroup(parent.degree, h.generators + kg.generators)
+    if joint.order() != joint_order:
+        return False, "joint order mismatch"
+    if conjugate_into(joint, kg, h, caps) is not None:
+        return False, "replay found a conjugator into the subject"
+    return True, "no element of the joint conjugates k^g into the subject"
+
+
 def replay_strong_pronormality_failure(report: StrongPronormalityReport,
                                        caps: Caps = DEFAULT_CAPS) -> bool:
     if report.verdict is not False or report.failure is None:
         raise GroupError("only negative reports replay")
     fail = report.failure
-    h = report.subject
-    kg = PermGroup(h.degree, tuple(x.conj(fail.g) for x in fail.k.generators))
-    if not (fail.joint.contains_group(h) and fail.joint.contains_group(kg)):
-        return False
-    return conjugate_into(fail.joint, kg, h, caps) is None
+    return replay_non_strong_pronormality(report.ambient, report.subject, fail.k, fail.g,
+                                          fail.joint.order(), caps)[0]
 
 
 def pronormal_in_normal_closure(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> PronormalityReport:

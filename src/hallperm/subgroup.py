@@ -9,12 +9,14 @@ one and reruns produce identical output.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (PermGroup, Permutation, combine_blockwise, decompose_blockwise,
-                    group_from_elements, right_transversal, subgroup_check, trivial_group)
+                    group_from_elements, inflate, orbit, right_transversal, subgroup_check,
+                    trivial_group)
 from .numth import is_p_power, is_prime, p_part
 
 
@@ -89,9 +91,8 @@ def normalizer(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     cache_key = ("normalizer", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:
-        return Subgroup(parent, cached)
+        return cached
 
-    result = None
     if parent.order() <= caps.enum_cap:
         sub_set = sub.element_set(caps)
         gens = sub.generators
@@ -102,8 +103,8 @@ def normalizer(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> Subgroup:
         result = _normalizer_blockwise(parent, sub, caps)
         if result is None:
             raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
-    parent._cache[cache_key] = result
-    return Subgroup(parent, result)
+    cached = parent._cache[cache_key] = Subgroup(parent, result)
+    return cached
 
 
 def _normalizer_blockwise(parent: PermGroup, sub: PermGroup, caps: Caps):
@@ -117,7 +118,6 @@ def _normalizer_blockwise(parent: PermGroup, sub: PermGroup, caps: Caps):
     if parts is None:
         return None
     gens = []
-    from .group import inflate
     for block, factor, part in zip(blocks, structure.factor_groups, parts):
         n_block = normalizer(factor, part, caps).group
         gens.extend(inflate(g, block, parent.degree) for g in n_block.generators)
@@ -136,35 +136,34 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
         raise ValueError(f"{p} is not prime")
     cached = parent._cache.get(("sylow", p))
     if cached is not None:
-        return Subgroup(parent, cached)
+        return cached
     target = p_part(parent.order(), p)
     if target == 1:
-        result = trivial_group(parent.degree)
-        parent._cache[("sylow", p)] = result
-        return Subgroup(parent, result)
-    seed = None
-    for e in parent.elements(caps):
-        o = e.order()
-        if o % p == 0:
-            seed = e ** (o // p_part(o, p))
-            break
-    current = PermGroup(parent.degree, [seed])
-    while current.order() < target:
-        norm = normalizer(parent, current, caps).group
-        extended = None
-        for x in norm.elements(caps):
-            if x.is_identity or not is_p_power(x.order(), p):
-                continue
-            if not current.contains(x):
-                extended = PermGroup(parent.degree, current.generators + (x,))
+        current = trivial_group(parent.degree)
+    else:
+        seed = None
+        for e in parent.elements(caps):
+            o = e.order()
+            if o % p == 0:
+                seed = e ** (o // p_part(o, p))
                 break
-        if extended is None:
-            raise GroupError("sylow ascent stalled (library bug)")
-        current = extended
-    if current.order() != target:
-        raise GroupError("sylow construction produced a wrong order")
-    parent._cache[("sylow", p)] = current
-    return Subgroup(parent, current)
+        current = PermGroup(parent.degree, [seed])
+        while current.order() < target:
+            norm = normalizer(parent, current, caps).group
+            extended = None
+            for x in norm.elements(caps):
+                if x.is_identity or not is_p_power(x.order(), p):
+                    continue
+                if not current.contains(x):
+                    extended = PermGroup(parent.degree, current.generators + (x,))
+                    break
+            if extended is None:
+                raise GroupError("sylow ascent stalled (library bug)")
+            current = extended
+        if current.order() != target:
+            raise GroupError("sylow construction produced a wrong order")
+    cached = parent._cache[("sylow", p)] = Subgroup(parent, current)
+    return cached
 
 
 def all_sylow_subgroups(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS):
@@ -173,16 +172,9 @@ def all_sylow_subgroups(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS):
     if cached is None:
         start = sylow(parent, p, caps).group
         start_elems = start.element_set(caps)
-        orbit = {start_elems: start}
-        frontier = deque([start_elems])
-        while frontier:
-            elems = frontier.popleft()
-            for g in parent.generators:
-                image = conjugated_key(elems, g)
-                if image not in orbit:
-                    orbit[image] = group_from_elements(parent.degree, image)
-                    frontier.append(image)
-        cached = [orbit[k] for k in sorted(orbit, key=_set_sort_key)]
+        keys = orbit([start_elems], parent.generators, conjugated_key)
+        cached = [start if k == start_elems else group_from_elements(parent.degree, k)
+                  for k in sorted(keys, key=_set_sort_key)]
         parent._cache[("all_sylow", p)] = cached
     return list(cached)
 
@@ -191,21 +183,38 @@ def _set_sort_key(elems):
     return (len(elems), tuple(sorted(elems)))
 
 
-def _joined_closure(seed, gens, degree, limit):
-    """Closure of a seed element set under right products; None past limit."""
-    seen = set(seed)
-    frontier = deque(seen)
-    gens = [g for g in gens if not g.is_identity]
-    while frontier:
-        e = frontier.popleft()
-        for g in gens:
-            prod = e * g
-            if prod not in seen:
-                if limit is not None and len(seen) >= limit:
-                    return None
-                seen.add(prod)
-                frontier.append(prod)
-    return seen
+def join_lattice(parent: PermGroup, seeds, order_divides=None):
+    """Every join of seed subgroups, sorted, each with its elements cached.
+
+    seeds maps the element set of each nontrivial seed subgroup to its
+    generators.  Starting from the trivial group and the seeds, every
+    subgroup found is joined with each seed not yet inside it until nothing
+    new appears.  With order_divides, joins whose order does not divide it
+    are dropped.
+    """
+    seed_items = sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))
+    found = {frozenset([parent.identity]): (), **seeds}
+    queue = deque(key for key, _ in seed_items)
+    while queue:
+        key = queue.popleft()
+        gens = found[key]
+        for skey, sgens in seed_items:
+            if all(g in key for g in sgens):
+                continue
+            joined = orbit(key | skey, gens + sgens, operator.mul, order_divides)
+            if joined is None or (order_divides is not None and order_divides % len(joined)):
+                continue
+            jkey = frozenset(joined)
+            if jkey not in found:
+                found[jkey] = gens + sgens
+                queue.append(jkey)
+    result = []
+    for key in sorted(found, key=_set_sort_key):
+        g = PermGroup(parent.degree, found[key])
+        g._cache["elements"] = sorted(key)
+        g._cache["element_set"] = key
+        result.append(g)
+    return result
 
 
 def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
@@ -223,61 +232,24 @@ def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CA
         raise CapExceeded("subgroup_cap", caps.subgroup_cap, n)
     cache_key = ("all_subgroups", order_divides)
     cached = parent._cache.get(cache_key)
-    if cached is not None:
-        return [Subgroup(parent, g) for g in cached]
-
-    degree = parent.degree
-    identity = parent.identity
-    limit = order_divides if order_divides is not None else n
-
-    cyclics = {}
-    for e in parent.elements(caps):
-        if e.is_identity:
-            continue
-        if order_divides is not None and order_divides % e.order() != 0:
-            continue
-        powers = set()
-        x = e
-        while not x.is_identity:
-            powers.add(x)
-            x = x * e
-        powers.add(identity)
-        key = frozenset(powers)
-        if key not in cyclics:
-            cyclics[key] = e
-    cyclic_items = sorted(cyclics.items(), key=lambda kv: _set_sort_key(kv[0]))
-
-    subgroups = {frozenset([identity]): ()}
-    queue = deque()
-    for key, gen in cyclic_items:
-        if key not in subgroups:
-            subgroups[key] = (gen,)
-            queue.append(key)
-    while queue:
-        key = queue.popleft()
-        gens = subgroups[key]
-        for ckey, cgen in cyclic_items:
-            if cgen in key:
+    if cached is None:
+        identity = parent.identity
+        cyclics = {}
+        for e in parent.elements(caps):
+            if e.is_identity:
                 continue
-            joined = _joined_closure(key | ckey, gens + (cgen,), degree, limit)
-            if joined is None:
+            if order_divides is not None and order_divides % e.order() != 0:
                 continue
-            size = len(joined)
-            if order_divides is not None and order_divides % size != 0:
-                continue
-            jkey = frozenset(joined)
-            if jkey not in subgroups:
-                subgroups[jkey] = gens + (cgen,)
-                queue.append(jkey)
-
-    result = []
-    for key in sorted(subgroups, key=_set_sort_key):
-        g = PermGroup(degree, subgroups[key])
-        g._cache["elements"] = sorted(key)
-        g._cache["element_set"] = key
-        result.append(g)
-    parent._cache[cache_key] = result
-    return [Subgroup(parent, g) for g in result]
+            powers = set()
+            x = e
+            while not x.is_identity:
+                powers.add(x)
+                x = x * e
+            powers.add(identity)
+            cyclics.setdefault(frozenset(powers), (e,))
+        cached = [Subgroup(parent, g) for g in join_lattice(parent, cyclics, order_divides)]
+        parent._cache[cache_key] = cached
+    return list(cached)
 
 
 def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_CAPS):
@@ -296,19 +268,11 @@ def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_C
     for key in sorted(pending, key=_set_sort_key):
         if key in visited:
             continue
-        orbit = {key}
-        frontier = deque([key])
-        while frontier:
-            elems = frontier.popleft()
-            for g in parent.generators:
-                image = conjugated_key(elems, g)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        visited |= orbit
-        rep_key = min(orbit, key=_set_sort_key)
+        keys = orbit([key], parent.generators, conjugated_key)
+        visited.update(keys)
+        rep_key = min(keys, key=_set_sort_key)
         rep = pending.get(rep_key) or group_from_elements(parent.degree, rep_key)
-        classes.append((rep, len(orbit)))
+        classes.append((rep, len(keys)))
     return classes
 
 
@@ -453,9 +417,9 @@ def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):
                 if key not in found:
                     found[key] = join
                     queue.append(join)
-        cached = [found[k] for k in sorted(found, key=_set_sort_key)]
+        cached = [Subgroup(parent, found[k]) for k in sorted(found, key=_set_sort_key)]
         parent._cache[cache_key] = cached
-    return [Subgroup(parent, g) for g in cached]
+    return list(cached)
 
 
 def element_conjugacy_classes(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -467,17 +431,9 @@ def element_conjugacy_classes(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
         for e in parent.elements(caps):
             if e in visited:
                 continue
-            orbit = {e}
-            frontier = deque([e])
-            while frontier:
-                x = frontier.popleft()
-                for g in parent.generators:
-                    image = x.conj(g)
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
-            visited |= orbit
-            classes.append(sorted(orbit))
+            cls = orbit([e], parent.generators, lambda x, g: x.conj(g))
+            visited.update(cls)
+            classes.append(sorted(cls))
         parent._cache["element_classes"] = classes
         cached = classes
     return cached

@@ -11,6 +11,7 @@ keeps every per-group cache hot and makes parallel workers independent.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -85,19 +86,14 @@ def _record(result, kind, group_name, pi, detail):
     getattr(result, kind).append(entry)
 
 
+@contextlib.contextmanager
 def _guard(result, group_name, pi):
-    """Context manager recording CapExceeded instead of aborting the sweep."""
-    class _Guard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, CapExceeded):
-                _record(result, "cap_hits", group_name, pi,
-                        f"{exc.cap_name} exceeded (needed {exc.needed})")
-                return True
-            return False
-    return _Guard()
+    """Record CapExceeded instead of aborting the sweep."""
+    try:
+        yield
+    except CapExceeded as exc:
+        _record(result, "cap_hits", group_name, pi,
+                f"{exc.cap_name} exceeded (needed {exc.needed})")
 
 
 # -- individual suites -------------------------------------------------------

@@ -6,7 +6,10 @@ from hallperm import certificates as certs
 from hallperm.constructions import pointwise_stabilizer, symmetric, wreath_hall_pair
 from hallperm.group import PermGroup
 from hallperm.hall import hall_subgroups, sylow_tower
-from hallperm.pronormal import is_strongly_pronormal, pronormality_instance
+from hallperm.pronormal import (PronormalityFailure, PronormalityReport,
+                                StrongPronormalityFailure, StrongPronormalityReport,
+                                is_strongly_pronormal, pronormality_instance,
+                                replay_pronormality_failure, replay_strong_pronormality_failure)
 from hallperm.subgroup import is_conjugate
 
 from conftest import perm
@@ -112,3 +115,50 @@ def test_identical_invocations_share_digest(sym5):
     second = certs.conjugacy_witness_certificate(sym5, is_conjugate(sym5, a, b))
     assert first["digest"] == second["digest"]
     assert certs.canonical_body(first) == certs.canonical_body(second)
+
+
+# Forged failure claims, each one field away from a genuine failure, built
+# through the certificate builders so that the digest is fresh.  With the
+# membership checks left out, every forged claim would pass the rescan.
+_D8 = ["(0 1)", "(0 2)(1 3)"]      # dihedral on {0..3}; degree 6 leaves 4 and 5 free
+_S4 = ["(0 1 2 3)", "(0 1)"]
+_CLAIMS = {
+    "pronormal genuine": ("non-pronormality", 6, _D8, ["(0 1)"], None, "(0 2)(1 3)", True),
+    "pronormal g outside G": ("non-pronormality", 6, _D8, ["(0 1)"], None, "(0 2)(1 3)(4 5)",
+                              False),
+    "pronormal subject outside G": ("non-pronormality", 6, _D8, ["(0 1)(4 5)"], None,
+                                    "(0 2)(1 3)", False),
+    "strong genuine": ("non-strong-pronormality", 6, _S4, ["(0 1)"], ["(0 1)"], "(0 2)(1 3)",
+                       True),
+    "strong g outside G": ("non-strong-pronormality", 4, ["(0 1)", "(2 3)"], ["(0 1)", "(2 3)"],
+                           ["(0 1)(2 3)"], "(1 2)", False),
+    "strong k outside subject": ("non-strong-pronormality", 6, _S4, ["(0 1)"], ["(0 1)(2 3)"],
+                                 "(0 2)(1 3)", False),
+    "strong subject outside G": ("non-strong-pronormality", 6, _S4, ["(0 1)", "(4 5)"],
+                                 ["(0 1)"], "(0 2)(1 3)", False),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_CLAIMS))
+def test_forged_failure_claims_are_rejected(claim):
+    kind, degree, ambient, subject, k, g, genuine = _CLAIMS[claim]
+
+    def group(gens):
+        return PermGroup(degree, [perm(c, degree) for c in gens])
+
+    ambient, subject, g = group(ambient), group(subject), perm(g, degree)
+    moved = subject if k is None else group(k)
+    joint = PermGroup(degree, subject.generators + tuple(x.conj(g) for x in moved.generators))
+    if kind == "non-pronormality":
+        failure = PronormalityFailure(g=g, joint=joint, mode="exhaustive", scanned=joint.order())
+        report = PronormalityReport(subject, ambient, False, failure=failure)
+        cert = certs.non_pronormality_certificate(ambient, report)
+        replay = replay_pronormality_failure
+    else:
+        failure = StrongPronormalityFailure(k=moved, g=g, joint=joint, scanned=joint.order())
+        report = StrongPronormalityReport(subject, ambient, False, failure=failure)
+        cert = certs.non_strong_pronormality_certificate(ambient, report)
+        replay = replay_strong_pronormality_failure
+    assert certs.certificate_digest(cert) == cert["digest"]
+    assert certs.verify_certificate(cert)[0] is genuine
+    assert replay(report) is genuine
