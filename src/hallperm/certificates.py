@@ -17,7 +17,7 @@ import os
 
 from .errors import GroupError, Caps, DEFAULT_CAPS
 from .group import PermGroup, Permutation, subgroup_check
-from .hall import pi_part, is_pi_number
+from .hall import hall_subgroups, pi_part, is_pi_number
 from .subgroup import is_conjugate, is_normal
 from .pronormal import replay_non_pronormality, replay_non_strong_pronormality
 
@@ -256,7 +256,11 @@ def _verify_hall_classes(cert, caps):
         for j in range(i + 1, len(reps)):
             if is_conjugate(group, reps[i], reps[j], caps) is not None:
                 return False, "two representatives are conjugate"
-    return True, "representatives are pi-Hall and pairwise non-conjugate"
+    # completeness: the Sylow-tuple sweep meets every class; a cap hit
+    # raises CapExceeded rather than passing an unchecked count
+    if len(hall_subgroups(group, pi, caps)) != len(reps):
+        return False, "the Sylow-tuple sweep finds a different number of classes"
+    return True, "representatives are pi-Hall, pairwise non-conjugate and exhaust the classes"
 
 
 def _verify_sylow_tower(cert, caps):

@@ -313,13 +313,15 @@ def right_cosets(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS):
 
     Scanning the parent's sorted element list and claiming whole cosets makes
     each representative the lexicographically least element of its coset, so
-    the identity comes first and the output is canonical.
+    the identity comes first and the output is canonical.  A cache hit needs
+    no membership check: the cached element set was checked when it was
+    stored.
     """
-    subgroup_check(parent, sub)
     cache_key = ("cosets", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:
         return cached
+    subgroup_check(parent, sub)
     sub_elems = sub.elements(caps)
     reps = []
     lookup = {}

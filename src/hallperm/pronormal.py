@@ -9,6 +9,18 @@ N_G(K)), H^(nt) = H^t and <H, H^(nt)> = <H, H^t>, so g only needs to run
 over a right transversal of the normalizer.  Multiplying on the right
 instead would change the joint subgroup, so only the left factor may be
 dropped.
+
+Decision order for one instance (H, g) with joint J = <H, H^g>: some x in J
+has H^x = H^g exactly when J meets the coset N_G(H)*g, and since H <= J it
+is enough to sift n*g into J's stabilizer chain for n over a right
+transversal of H in N_G(H), identity (so g itself) first.  A hit decides the
+instance positively without enumerating J.  A miss falls through to the
+exhaustive scan of J (or of its blocks), which independently confirms the
+negative and supplies the failure data that certificates record; a scan
+that finds a conjugator after a full coset miss raises GroupError.  When
+N_G(H) is beyond enumeration only g itself is sifted, and the scan decides
+the rest.  Strong pronormality has the analogous shortcut: g in <H, K^g>
+gives x = g^-1 with K^(gx) = K <= H; negatives keep the scan.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .group import (PermGroup, Permutation, attach_block_structure, decompose_bl
                     inflate, intersect_groups, normal_closure, right_transversal,
                     subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
-from .subgroup import (_as_group, _blockwise_structure_usable, all_subgroups,
+from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
                        conjugate_into, is_normal, normalizer, subgroup_conjugacy_classes)
 
 
@@ -123,6 +135,25 @@ def _decide_in_joint(joint: PermGroup, h: PermGroup, hg: PermGroup, caps: Caps):
     return "capped", f"joint of order {joint.order()} admits neither exhaustive nor blockwise search"
 
 
+def _joint_meets_coset(joint: PermGroup, h: PermGroup, norm: Optional[PermGroup],
+                       g: Permutation, caps: Caps) -> bool:
+    """True iff joint meets the coset norm*g (norm = N_G(h)); g alone when norm is None.
+
+    The caller guarantees h <= joint, so one sift per coset h*n decides it,
+    n over right_transversal(norm, h).  That transversal starts with the
+    identity, so g is sifted first, and it is only built when g misses.
+    """
+    chain = joint.chain
+    if chain.contains(g):
+        return True
+    return norm is not None and any(chain.contains(n * g)
+                                    for n in right_transversal(norm, h, caps)[1:])
+
+
+_COSET_CONTRADICTION = ("the joint scan found a conjugator although the joint misses the "
+                        "normalizer coset (library bug)")
+
+
 def _joint_of(h: PermGroup, conj_gens, blocks) -> PermGroup:
     """<h, conj_gens>, carrying the block structure when it splits over blocks."""
     joint = PermGroup(h.degree, h.generators + tuple(conj_gens))
@@ -146,9 +177,13 @@ def pronormality_instance(parent: PermGroup, h, g: Permutation,
     if all(h.contains(c) for c in conj_gens):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
     joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
-    hg = PermGroup(h.degree, conj_gens)
-    status, data = _decide_in_joint(joint, h, hg, caps)
+    norm = _normalizer(parent, h, caps).group if parent.order() <= caps.enum_cap else None
+    if _joint_meets_coset(joint, h, norm, g, caps):
+        return PronormalityReport(h, parent, True, checked_coset_count=1)
+    status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
     if status == "found":
+        if norm is not None:
+            raise GroupError(_COSET_CONTRADICTION)
         return PronormalityReport(h, parent, True, checked_coset_count=1)
     if status == "absent":
         mode, scanned, block = data
@@ -201,31 +236,24 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
                                       indeterminate_reason="ambient beyond enum_cap; only shift powers probed")
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
 
-    norm = normalizer(parent, h, caps).group
-    reps = right_transversal(parent, norm, caps)
+    norm = _normalizer(parent, h, caps).group
     checked = 0
-    capped_reason = None
-    failure = None
-    for t in reps:
+    for t in right_transversal(parent, norm, caps):
         if t.is_identity:
             continue
         conj_gens = [x.conj(t) for x in h.generators]
         joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
-        hg = PermGroup(h.degree, conj_gens)
-        status, data = _decide_in_joint(joint, h, hg, caps)
         checked += 1
-        if status == "absent":
-            mode, scanned, block = data
-            failure = PronormalityFailure(g=t, joint=joint, mode=mode,
-                                          scanned=scanned, failing_block=block)
-            break
-        if status == "capped":
-            capped_reason = data
-    if failure is not None:
+        if _joint_meets_coset(joint, h, norm, t, caps):
+            continue
+        # joint <= parent <= enum_cap, so the scan is exhaustive and never caps
+        status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
+        if status == "found":
+            raise GroupError(_COSET_CONTRADICTION)
+        mode, scanned, block = data
+        failure = PronormalityFailure(g=t, joint=joint, mode=mode,
+                                      scanned=scanned, failing_block=block)
         return PronormalityReport(h, parent, False, failure=failure, checked_coset_count=checked)
-    if capped_reason is not None:
-        return PronormalityReport(h, parent, None, checked_coset_count=checked,
-                                  indeterminate_reason=capped_reason)
     return PronormalityReport(h, parent, True, checked_coset_count=checked)
 
 
@@ -274,30 +302,25 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
     subs = all_subgroups(h, caps=caps)
     classes = subgroup_conjugacy_classes(h, [s.group for s in subs], caps)
     checked = 0
-    capped_reason = None
     for k, _size in sorted(classes, key=lambda c: (c[0].order(), tuple(c[0].elements()))):
         if k.order() == 1:
             continue
-        norm = normalizer(parent, k, caps).group
+        norm = _normalizer(parent, k, caps).group
         for g in right_transversal(parent, norm, caps):
             kg_gens = tuple(x.conj(g) for x in k.generators)
             checked += 1
             if all(x in h_set for x in kg_gens):
                 continue
             joint = PermGroup(h.degree, h.generators + kg_gens)
-            kg = PermGroup(h.degree, kg_gens)
-            if joint.order() > caps.enum_cap:
-                capped_reason = f"joint of order {joint.order()} exceeds enum_cap"
+            if joint.contains(g):
                 continue
-            witness = conjugate_into(joint, kg, h, caps)
+            # joint <= parent, which right_transversal just enumerated
+            witness = conjugate_into(joint, PermGroup(h.degree, kg_gens), h, caps)
             if witness is None:
                 failure = StrongPronormalityFailure(k=k, g=g, joint=joint,
                                                     scanned=joint.order())
                 return StrongPronormalityReport(h, parent, False, failure=failure,
                                                 checked_pair_count=checked)
-    if capped_reason is not None:
-        return StrongPronormalityReport(h, parent, None, checked_pair_count=checked,
-                                        indeterminate_reason=capped_reason)
     return StrongPronormalityReport(h, parent, True, checked_pair_count=checked)
 
 

@@ -88,6 +88,11 @@ def normalizer(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """
     sub = _as_group(sub)
     subgroup_check(parent, sub)
+    return _normalizer(parent, sub, caps)
+
+
+def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
+    """normalizer() for a sub the caller has already checked to lie in parent."""
     cache_key = ("normalizer", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:

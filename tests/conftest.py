@@ -1,7 +1,15 @@
+import os
+
 import pytest
 
 from hallperm.constructions import alternating, psl2, sl2, symmetric
 from hallperm.perm import Permutation
+
+# pytest puts src/ on sys.path (pyproject.toml); CLI tests run `python -m
+# hallperm` in subprocesses, which need it on PYTHONPATH as well.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def perm(text, degree):

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from hallperm import certificates as certs
-from hallperm.constructions import pointwise_stabilizer, symmetric, wreath_hall_pair
+from hallperm.catalog import parse_group_spec
+from hallperm.constructions import pointwise_stabilizer, sl2, symmetric, wreath_hall_pair
+from hallperm.errors import CapExceeded, Caps
 from hallperm.group import PermGroup
 from hallperm.hall import hall_subgroups, sylow_tower
 from hallperm.pronormal import (PronormalityFailure, PronormalityReport,
@@ -79,6 +81,13 @@ def test_hall_classes_certificate(psl27):
     cert = certs.hall_classes_certificate(psl27, {2, 3}, reps)
     ok, detail = certs.verify_certificate(cert)
     assert ok, detail
+    # psl2:7 has two classes; naming only the first is internally
+    # consistent but incomplete, and must fail replay
+    incomplete = certs.hall_classes_certificate(psl27, {2, 3}, reps[:1])
+    assert incomplete["payload"]["class_count"] == 1
+    ok, detail = certs.verify_certificate(incomplete)
+    assert not ok
+    assert "different number of classes" in detail
     # forging an extra conjugate class must fail replay
     forged = json.loads(json.dumps(cert))
     forged["payload"]["reps"].append(forged["payload"]["reps"][0])
@@ -162,3 +171,50 @@ def test_forged_failure_claims_are_rejected(claim):
     assert certs.certificate_digest(cert) == cert["digest"]
     assert certs.verify_certificate(cert)[0] is genuine
     assert replay(report) is genuine
+
+
+def test_hall_classes_completeness_reports_cap(psl27):
+    # one representative, so only the completeness sweep can hit the cap
+    cert = certs.hall_classes_certificate(psl27, {2, 3}, hall_subgroups(psl27, {2, 3})[:1])
+    with pytest.raises(CapExceeded):
+        certs._verify_hall_classes(cert, Caps(enum_cap=100))
+    ok, detail = certs.verify_certificate(cert, Caps(enum_cap=100))
+    assert not ok
+    assert "enum_cap=100 exceeded" in detail
+
+
+# Digests of the certificates the scenario commands write, as produced
+# before pronormality was decided on the normalizer coset.  example1 writes
+# no negative certificate; its hall-classes certificate is pinned instead.
+_PINNED_DIGESTS = {
+    "example1 hall-classes": "41c4f2bf4c8a2387f02d0b040a5a2b88cf249e6449c280ba966c75fa7e678912",
+    "example2 5 3 non-strong-pronormality":
+        "da0a163110a0ae3288ca9fa7167939aaea672694e79f7f14de7cf976b549159a",
+    "example2 7 4 non-strong-pronormality":
+        "197997c2e90b2505b6bfe60b35d64a0dd7735ffe7d7bf57319661a70bc60a890",
+    "theorem3 non-pronormality": "669a668844673d6b6da536f4a0e77e3300c5007f049f2cb6ef57d27a754dce2c",
+}
+
+
+def _scenario_certificate(name):
+    if name == "example1 hall-classes":
+        group = sl2(16)
+        return certs.hall_classes_certificate(group, {3, 5}, hall_subgroups(group, {3, 5}))
+    if name.startswith("example2"):
+        n, m = (int(x) for x in name.split()[1:3])
+        handle = pointwise_stabilizer(n, m)
+        report = is_strongly_pronormal(handle.parent, handle.group)
+        return certs.non_strong_pronormality_certificate(handle.parent, report)
+    pi = frozenset({2, 3})
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, pi)
+    pair = wreath_hall_pair(base, u, v, pi, 5)
+    report = pronormality_instance(pair.wreath.group, pair.hall_first.group, pair.tau)
+    return certs.non_pronormality_certificate(pair.wreath.group, report, pi=pi)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+def test_scenario_certificate_digests_are_pinned(name):
+    cert = _scenario_certificate(name)
+    assert cert["digest"] == _PINNED_DIGESTS[name]
+    assert certs.verify_certificate(cert)[0]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hallperm.constructions import (alternating, direct_product, pointwise_stabilizer,
@@ -194,3 +196,104 @@ def test_hall_factorization_rejects_non_hall(sym5):
     c5 = PermGroup(5, [perm("(0 1 2 3 4)", 5)])
     report = hall_factorization_pronormality(sym5, alternating(5), c5, {2})
     assert not report.hypotheses_ok
+
+
+# -- the normalizer-coset decision against the exhaustive joint scan --------
+
+
+@pytest.fixture(scope="module")
+def subjects():
+    return _differential_cases() + _non_hall_cases()
+
+
+def _differential_cases():
+    """(name, G, H): every Hall representative for every pi, and the Sylow
+    subgroups, of each catalog group of order <= 60, psl2:7 and alt:6."""
+    from hallperm.catalog import build_catalog, parse_group_spec
+    from hallperm.numth import prime_divisors
+    groups = [(e.name, e.group) for e in build_catalog(60)]
+    groups += [(spec, parse_group_spec(spec)) for spec in ("psl2:7", "alt:6")]
+    cases = []
+    for name, group in groups:
+        primes = prime_divisors(group.order())
+        subjects = {}
+        for r in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                for rep in hall_subgroups(group, set(pi)):
+                    subjects.setdefault(rep.group.key(), rep.group)
+        for p in primes:
+            subjects.setdefault(sylow(group, p).group.key(), sylow(group, p).group)
+        cases += [(name, group, h) for h in subjects.values()]
+    return cases
+
+
+def _non_hall_cases():
+    """(name, G, H) for every subgroup class of sym:4, pronormal or not."""
+    from hallperm.subgroup import all_subgroups, subgroup_conjugacy_classes
+    s4 = symmetric(4)
+    classes = subgroup_conjugacy_classes(s4, [s.group for s in all_subgroups(s4)])
+    return [("sym:4", s4, rep) for rep, _ in classes]
+
+
+def test_coset_decision_agrees_with_joint_scan(subjects):
+    from hallperm.errors import DEFAULT_CAPS
+    from hallperm.group import right_transversal
+    from hallperm.pronormal import _decide_in_joint, _joint_meets_coset, _joint_of
+    from hallperm.subgroup import normalizer
+    positives = negatives = 0
+    for name, group, h in subjects:
+        norm = normalizer(group, h).group
+        coset_reps = right_transversal(norm, h)
+        blocks = group.factors and group.factors.blocks
+        for t in right_transversal(group, norm)[1:]:
+            conj_gens = [x.conj(t) for x in h.generators]
+            joint = _joint_of(h, conj_gens, blocks)
+            hg = PermGroup(h.degree, conj_gens)
+            meets = _joint_meets_coset(joint, h, norm, t, DEFAULT_CAPS)
+            status, _ = _decide_in_joint(joint, h, hg, DEFAULT_CAPS)
+            assert meets == (status == "found"), (name, h.order(), t)
+            if not meets:
+                negatives += 1
+                continue
+            positives += 1
+            x = next(n * t for n in coset_reps if joint.contains(n * t))
+            assert all(hg.contains(a.conj(x)) for a in h.generators), (name, t)
+    assert (positives, negatives) == (313, 3)
+
+
+def test_strong_fast_path_agrees_with_conjugate_into(subjects):
+    from hallperm.group import right_transversal
+    from hallperm.subgroup import (all_subgroups, conjugate_into, normalizer,
+                                   subgroup_conjugacy_classes)
+    fast = 0
+    for name, group, h in subjects:
+        if h.order() in (1, group.order()):
+            continue            # every K^g lies in H, or the joint is G itself
+        h_set = h.element_set()
+        classes = subgroup_conjugacy_classes(h, [s.group for s in all_subgroups(h)])
+        for k, _ in classes:
+            if k.order() == 1:
+                continue
+            for g in right_transversal(group, normalizer(group, k).group):
+                kg = k.conjugate(g)
+                if all(x in h_set for x in kg.generators):
+                    continue
+                joint = PermGroup(h.degree, h.generators + kg.generators)
+                if not joint.contains(g):
+                    continue
+                fast += 1
+                assert conjugate_into(joint, kg, h) is not None, (name, k.order(), g)
+                assert all(h.contains(x.conj(~g)) for x in kg.generators)
+    assert fast == 1115
+
+
+def test_scan_contradicting_a_coset_miss_is_an_error(monkeypatch, sym5):
+    # a conjugator that the coset test missed must never become a verdict
+    from hallperm import pronormal
+    from hallperm.errors import GroupError
+    monkeypatch.setattr(pronormal, "_joint_meets_coset", lambda *args: False)
+    h = sylow(sym5, 2).group
+    with pytest.raises(GroupError, match="library bug"):
+        is_pronormal(sym5, h)
+    with pytest.raises(GroupError, match="library bug"):
+        pronormality_instance(sym5, h, perm("(0 4)", 5))
