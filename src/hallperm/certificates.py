@@ -17,11 +17,14 @@ import os
 
 from .errors import GroupError, Caps, DEFAULT_CAPS
 from .group import PermGroup, Permutation, subgroup_check
-from .hall import hall_subgroups, pi_part, is_pi_number
-from .subgroup import is_conjugate, is_normal
+from .hall import SylowTower, hall_subgroups, pi_part, is_pi_number
+from .subgroup import ConjugacyWitness, Subgroup, is_conjugate
 from .pronormal import replay_non_pronormality, replay_non_strong_pronormality
 
 SCHEMA = "hall-pronormality-certificate/v1"
+
+# the negative certificate kind each conjecture probe reports a finding with
+PROBE_KINDS = {"9": "non-strong-pronormality", "11": "non-pronormality"}
 
 
 def perm_payload(p: Permutation) -> str:
@@ -213,11 +216,7 @@ def _verify_conjugacy_witness(cert, caps):
     witness = perm_from_payload(payload["witness"], group.degree)
     if not group.contains(witness):
         return False, "witness is outside the ambient group"
-    for g in source.generators:
-        if not target.contains(g.conj(witness)):
-            return False, "a conjugated generator escapes the target"
-    if not payload["into"] and source.order() != target.order():
-        return False, "orders differ for an equality witness"
+    ConjugacyWitness(witness, source, target, payload["into"])
     return True, "conjugacy witness replays"
 
 
@@ -267,24 +266,21 @@ def _verify_sylow_tower(cert, caps):
     group = rebuild_group(cert["group"])
     payload = cert["payload"]
     subject = _rebuild_subgroup(group, payload["subject"])
-    series = [_rebuild_subgroup(group, p) for p in payload["series"]]
-    complexion = payload["complexion"]
-    if series[0].order() != subject.order() or series[-1].order() != 1:
-        return False, "series endpoints are wrong"
-    order = subject.order()
-    from .numth import p_part as _p_part
-    for i, p in enumerate(complexion):
-        if series[i].order() // series[i + 1].order() != _p_part(order, p):
-            return False, f"factor {i} is not the {p}-part"
-    for term in series[1:]:
-        if not is_normal(subject, term, caps):
-            return False, "a series term is not normal in the subject"
+    series = tuple(Subgroup(subject, rebuild_group(p)) for p in payload["series"])
+    SylowTower(subject, tuple(payload["complexion"]), series).check(caps)
     return True, "tower replays"
 
 
 def _verify_conjecture_finding(cert, caps):
-    inner = dict(cert["inner"])
-    return verify_certificate(inner, caps)
+    inner = cert["inner"]
+    kind = PROBE_KINDS.get(cert["conjecture"])
+    if kind is None:
+        return False, f"unknown conjecture {cert['conjecture']!r}"
+    if inner.get("kind") != kind:
+        return False, f"conjecture {cert['conjecture']} needs a {kind} certificate"
+    if cert["group"] != inner.get("group"):
+        return False, "outer group differs from the inner certificate's group"
+    return verify_certificate(dict(inner), caps)
 
 
 _VERIFIERS = {

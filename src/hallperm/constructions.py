@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from .errors import GroupError, Caps, DEFAULT_CAPS
-from .group import (DirectFactorStructure, GroupHom, PermGroup, Permutation,
-                    inflate, subgroup_check)
+from .group import DirectFactorStructure, GroupHom, PermGroup, Permutation, inflate
 from .hall import is_hall_subgroup, pi_part
 from .numth import is_prime, prime_divisors
 from .subgroup import Subgroup, is_conjugate
@@ -347,7 +346,6 @@ def sl2_subfield_embedding(q0: int, q: int, caps: Caps = DEFAULT_CAPS):
     image = hom.image_group()
     if image.order() != small_group.order():
         raise GroupError("subfield embedding is not injective")
-    subgroup_check(big_group, image)
     return hom, Subgroup(big_group, image)
 
 

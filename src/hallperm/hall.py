@@ -235,28 +235,25 @@ def is_pi_separable(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
     normal subgroup lattice decides separability exactly.
     """
     pi = PrimeSet(pi)
-    normals = [s.group for s in all_normal_subgroups(parent, caps)]
-    normals.sort(key=lambda g: (g.order(), _set_sort_key(g.element_set(caps))))
-    keys = [g.element_set(caps) for g in normals]
+    # the lattice comes sorted by (order, elements), so every smaller term precedes
+    normals = all_normal_subgroups(parent, caps)
+    keys = [s.group.element_set(caps) for s in normals]
     chains = {}
-    for g, key in zip(normals, keys):
-        if g.order() == 1:
-            chains[key] = [g]
+    for s, key in zip(normals, keys):
+        if s.order() == 1:
+            chains[key] = [s]
             continue
         for m, mkey in zip(normals, keys):
-            if m.order() >= g.order() or mkey not in chains or not mkey <= key:
+            if m.order() >= s.order() or mkey not in chains or not mkey <= key:
                 continue
-            ratio = g.order() // m.order()
+            ratio = s.order() // m.order()
             if is_pi_number(ratio, pi) or is_pi_free(ratio, pi):
-                chains[key] = chains[mkey] + [g]
+                chains[key] = chains[mkey] + [s]
                 break
     top = parent.element_set(caps) if parent.order() <= caps.enum_cap else None
     if top is None:
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
-    found = chains.get(top)
-    if found is None:
-        return None
-    return [Subgroup(parent, g) for g in found]
+    return chains.get(top)
 
 
 # -- Sylow towers ----------------------------------------------------------
@@ -266,8 +263,10 @@ def is_pi_separable(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
 class SylowTower:
     """A normal series of subject with prescribed Sylow factors top-down.
 
-    series runs subject = H_0 > H_1 > ... > H_n = 1; the i-th factor order
-    equals the complexion[i]-part of |subject|.
+    series runs subject = H_0 > H_1 > ... > H_n = 1; complexion orders the
+    prime divisors of |subject|, and the i-th factor order equals the
+    complexion[i]-part of |subject|.  The one check for in-memory towers and
+    replayed certificates alike.
     """
 
     subject: PermGroup
@@ -276,11 +275,15 @@ class SylowTower:
 
     def check(self, caps: Caps = DEFAULT_CAPS):
         order = self.subject.order()
+        if sorted(self.complexion) != prime_divisors(order):
+            raise GroupError("tower complexion does not order the prime divisors of the subject")
+        if len(self.series) != len(self.complexion) + 1:
+            raise GroupError("tower series length does not match the complexion")
         groups = [s.group for s in self.series]
         if groups[0].order() != order or groups[-1].order() != 1:
             raise GroupError("tower endpoints are wrong")
         for i, p in enumerate(self.complexion):
-            if groups[i].order() // groups[i + 1].order() != p_part(order, p):
+            if groups[i].order() != p_part(order, p) * groups[i + 1].order():
                 raise GroupError(f"tower factor {i} is not the {p}-part")
         for term in groups[1:]:
             if not is_normal(self.subject, term, caps):
@@ -295,7 +298,7 @@ def sylow_tower(subject, complexion, caps: Caps = DEFAULT_CAPS) -> Optional[Sylo
     """
     subject = _as_group(subject)
     complexion = tuple(complexion)
-    if sorted(complexion) != prime_divisors(subject.order()) or len(set(complexion)) != len(complexion):
+    if sorted(complexion) != prime_divisors(subject.order()):
         raise ValueError("complexion must order the prime divisors of the subject")
     series = _tower_series(subject, complexion, caps)
     if series is None:

@@ -10,10 +10,12 @@ over a right transversal of the normalizer.  Multiplying on the right
 instead would change the joint subgroup, so only the left factor may be
 dropped.
 
-Decision order for one instance (H, g) with joint J = <H, H^g>: some x in J
-has H^x = H^g exactly when J meets the coset N_G(H)*g, and since H <= J it
-is enough to sift n*g into J's stabilizer chain for n over a right
-transversal of H in N_G(H), identity (so g itself) first.  A hit decides the
+Decision order for one instance (H, g) with joint J = <H, H^g>, made by one
+function, _decide_coset, for both is_pronormal (g over the transversal) and
+pronormality_instance (one g): some x in J has H^x = H^g exactly when J
+meets the coset N_G(H)*g, and since H <= J it is enough to sift n*g into
+J's stabilizer chain for n over a right transversal of H in N_G(H),
+identity (so g itself) first.  A hit decides the
 instance positively without enumerating J.  A miss falls through to the
 exhaustive scan of J (or of its blocks), which independently confirms the
 negative and supplies the failure data that certificates record; a scan
@@ -25,7 +27,7 @@ gives x = g^-1 with K^(gx) = K <= H; negatives keep the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
@@ -150,16 +152,36 @@ def _joint_meets_coset(joint: PermGroup, h: PermGroup, norm: Optional[PermGroup]
                                     for n in right_transversal(norm, h, caps)[1:])
 
 
-_COSET_CONTRADICTION = ("the joint scan found a conjugator although the joint misses the "
-                        "normalizer coset (library bug)")
-
-
 def _joint_of(h: PermGroup, conj_gens, blocks) -> PermGroup:
     """<h, conj_gens>, carrying the block structure when it splits over blocks."""
     joint = PermGroup(h.degree, h.generators + tuple(conj_gens))
     if blocks:
         joint = attach_block_structure(joint, blocks) or joint
     return joint
+
+
+def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
+                  norm: Optional[PermGroup], caps: Caps) -> PronormalityReport:
+    """Decide the instance (h, g) for both testers; conj_gens are h's generators ^ g.
+
+    Sifts the coset norm*g (g alone when norm is None) into the joint and
+    scans the joint only on a miss.  The report counts one coset.
+    """
+    joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
+    if _joint_meets_coset(joint, h, norm, g, caps):
+        return PronormalityReport(h, parent, True, checked_coset_count=1)
+    status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
+    if status == "found":
+        if norm is not None:
+            raise GroupError("the joint scan found a conjugator although the joint misses "
+                             "the normalizer coset (library bug)")
+        return PronormalityReport(h, parent, True, checked_coset_count=1)
+    if status == "absent":
+        mode, scanned, block = data
+        failure = PronormalityFailure(g=g, joint=joint, mode=mode,
+                                      scanned=scanned, failing_block=block)
+        return PronormalityReport(h, parent, False, failure=failure, checked_coset_count=1)
+    return PronormalityReport(h, parent, None, indeterminate_reason=data, checked_coset_count=1)
 
 
 def pronormality_instance(parent: PermGroup, h, g: Permutation,
@@ -176,21 +198,8 @@ def pronormality_instance(parent: PermGroup, h, g: Permutation,
     conj_gens = [x.conj(g) for x in h.generators]
     if all(h.contains(c) for c in conj_gens):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
-    joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
     norm = _normalizer(parent, h, caps).group if parent.order() <= caps.enum_cap else None
-    if _joint_meets_coset(joint, h, norm, g, caps):
-        return PronormalityReport(h, parent, True, checked_coset_count=1)
-    status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
-    if status == "found":
-        if norm is not None:
-            raise GroupError(_COSET_CONTRADICTION)
-        return PronormalityReport(h, parent, True, checked_coset_count=1)
-    if status == "absent":
-        mode, scanned, block = data
-        failure = PronormalityFailure(g=g, joint=joint, mode=mode,
-                                      scanned=scanned, failing_block=block)
-        return PronormalityReport(h, parent, False, failure=failure, checked_coset_count=1)
-    return PronormalityReport(h, parent, None, indeterminate_reason=data, checked_coset_count=1)
+    return _decide_coset(parent, h, g, conj_gens, norm, caps)
 
 
 def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> PronormalityReport:
@@ -241,19 +250,10 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
     for t in right_transversal(parent, norm, caps):
         if t.is_identity:
             continue
-        conj_gens = [x.conj(t) for x in h.generators]
-        joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
         checked += 1
-        if _joint_meets_coset(joint, h, norm, t, caps):
-            continue
-        # joint <= parent <= enum_cap, so the scan is exhaustive and never caps
-        status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
-        if status == "found":
-            raise GroupError(_COSET_CONTRADICTION)
-        mode, scanned, block = data
-        failure = PronormalityFailure(g=t, joint=joint, mode=mode,
-                                      scanned=scanned, failing_block=block)
-        return PronormalityReport(h, parent, False, failure=failure, checked_coset_count=checked)
+        report = _decide_coset(parent, h, t, [x.conj(t) for x in h.generators], norm, caps)
+        if report.verdict is not True:
+            return replace(report, checked_coset_count=checked)
     return PronormalityReport(h, parent, True, checked_coset_count=checked)
 
 

@@ -113,12 +113,10 @@ def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) ->
 
 
 def _normalizer_blockwise(parent: PermGroup, sub: PermGroup, caps: Caps):
-    structure = parent.factors
+    structure = _blockwise_structure_usable(parent)
     if structure is None or structure.shift is not None:
         return None
     blocks = structure.blocks
-    if math.prod(f.order() for f in structure.factor_groups) != parent.order():
-        return None
     parts = decompose_blockwise(sub, blocks)
     if parts is None:
         return None

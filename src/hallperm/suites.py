@@ -27,7 +27,7 @@ from .pronormal import (commuting_product_pronormality, hall_factorization_prono
 from .subgroup import (all_subgroups, overgroups, subgroup_conjugacy_classes, sylow)
 
 SUITE_NAMES = ("theorem1", "theorem2", "lemmas", "classical-pronormal", "towers")
-PROBE_IDS = ("9", "11")
+PROBE_IDS = tuple(certs.PROBE_KINDS)
 
 
 @dataclass

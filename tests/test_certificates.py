@@ -1,18 +1,20 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from hallperm import certificates as certs
 from hallperm.catalog import parse_group_spec
-from hallperm.constructions import pointwise_stabilizer, sl2, symmetric, wreath_hall_pair
-from hallperm.errors import CapExceeded, Caps
-from hallperm.group import PermGroup
-from hallperm.hall import hall_subgroups, sylow_tower
+from hallperm.constructions import (alternating, pointwise_stabilizer, sl2, symmetric,
+                                    wreath_hall_pair)
+from hallperm.errors import CapExceeded, Caps, GroupError
+from hallperm.group import PermGroup, trivial_group
+from hallperm.hall import SylowTower, hall_subgroups, sylow_tower
 from hallperm.pronormal import (PronormalityFailure, PronormalityReport,
                                 StrongPronormalityFailure, StrongPronormalityReport,
                                 is_strongly_pronormal, pronormality_instance,
                                 replay_pronormality_failure, replay_strong_pronormality_failure)
-from hallperm.subgroup import is_conjugate
+from hallperm.subgroup import ConjugacyWitness, Subgroup, is_conjugate
 
 from conftest import perm
 
@@ -171,6 +173,121 @@ def test_forged_failure_claims_are_rejected(claim):
     assert certs.certificate_digest(cert) == cert["digest"]
     assert certs.verify_certificate(cert)[0] is genuine
     assert replay(report) is genuine
+
+
+# Forged claims of the other kinds, each beside a genuine twin.  A factory
+# returns the certificate (with a fresh digest) and the in-memory check of
+# the same claim, or None where no in-memory object states it.
+def _group(degree, gens):
+    return PermGroup(degree, [perm(c, degree) for c in gens])
+
+
+def _tower(ambient, subject, complexion, series):
+    tower = SylowTower(subject, tuple(complexion), tuple(Subgroup(subject, s) for s in series))
+    return certs.sylow_tower_certificate(ambient, tower), tower.check
+
+
+def _s3_tower(complexion):
+    s3 = symmetric(3)
+    return _tower(s3, s3, complexion, [s3, _group(3, ["(0 1 2)"]), trivial_group(3)])
+
+
+def _a5_tower(genuine):
+    a5 = alternating(5)
+    if genuine:         # A4 inside A5, through its normal Klein subgroup
+        a4 = _group(5, ["(0 1 2)", "(0 1)(2 3)"])
+        return _tower(a5, a4, [3, 2], [a4, _group(5, ["(0 1)(2 3)", "(0 2)(1 3)"]),
+                                       trivial_group(5)])
+    return _tower(a5, a5, [], [a5, trivial_group(5)])
+
+
+def _witness(ambient, source, target, element, in_memory=True):
+    degree = ambient.degree
+    claim = SimpleNamespace(element=perm(element, degree), source=_group(degree, source),
+                            target=_group(degree, target), into=False)
+    cert = certs.conjugacy_witness_certificate(ambient, claim)
+    # ConjugacyWitness carries no ambient group: only the certificate can
+    # see a witness outside G
+    return cert, in_memory and (lambda: ConjugacyWitness(claim.element, claim.source,
+                                                         claim.target))
+
+
+def _finding(conjecture, inner, outer_group=None):
+    cert = certs.conjecture_finding_certificate(conjecture, inner)
+    if outer_group is not None:
+        cert["group"] = certs.group_payload(outer_group)
+        cert["digest"] = certs.certificate_digest(cert)
+    return cert, None
+
+
+def _sym5_non_strong():
+    report = is_strongly_pronormal(symmetric(5), pointwise_stabilizer(5, 3).group)
+    return certs.non_strong_pronormality_certificate(report.ambient, report)
+
+
+def _d8_non_pronormal():
+    d8, h, g = _group(6, _D8), _group(6, ["(0 1)"]), perm("(0 2)(1 3)", 6)
+    return certs.non_pronormality_certificate(d8, pronormality_instance(d8, h, g))
+
+
+def _hall_classes(extra_conjugate):
+    s3 = symmetric(3)
+    reps = hall_subgroups(s3, {2})
+    cert = certs.hall_classes_certificate(s3, {2}, reps)
+    if extra_conjugate:
+        cert["payload"]["reps"].append(certs.subgroup_payload(_group(3, ["(1 2)"])))
+        cert["payload"]["class_count"] = 2
+        cert["digest"] = certs.certificate_digest(cert)
+    return cert, None
+
+
+_FORGERIES = {
+    "tower sym:3 genuine": ("sylow-tower", lambda: _s3_tower([2, 3]), True),
+    "tower sym:3 complexion misses 3": ("sylow-tower", lambda: _s3_tower([2]), False),
+    "tower alt:5 genuine A4": ("sylow-tower", lambda: _a5_tower(True), True),
+    "tower alt:5 empty complexion": ("sylow-tower", lambda: _a5_tower(False), False),
+    "witness alt:5 genuine": ("conjugacy-witness", lambda: _witness(
+        alternating(5), ["(0 1 2)"], ["(0 1 3)"], "(2 3 4)"), True),
+    "witness outside G": ("conjugacy-witness", lambda: _witness(
+        alternating(5), ["(0 1 2)"], ["(0 1 3)"], "(2 3)", in_memory=False), False),
+    "witness sym:4 genuine": ("conjugacy-witness", lambda: _witness(
+        symmetric(4), ["(0 1)"], ["(2 3)"], "(0 2)(1 3)"), True),
+    "witness target not a conjugate": ("conjugacy-witness", lambda: _witness(
+        symmetric(4), ["(0 1)"], ["(0 1)(2 3)"], "()"), False),
+    "finding 9 genuine": ("conjecture-finding", lambda: _finding("9", _sym5_non_strong()), True),
+    "finding 11 genuine": ("conjecture-finding", lambda: _finding("11", _d8_non_pronormal()),
+                           True),
+    "finding unknown id": ("conjecture-finding", lambda: _finding("42", _sym5_non_strong()),
+                           False),
+    "finding 11 wraps non-strong": ("conjecture-finding",
+                                    lambda: _finding("11", _sym5_non_strong()), False),
+    "finding 9 outer group swapped": ("conjecture-finding", lambda: _finding(
+        "9", _sym5_non_strong(), symmetric(4)), False),
+    "hall-classes sym:3 genuine": ("hall-classes", lambda: _hall_classes(False), True),
+    "hall-classes sym:3 extra conjugate": ("hall-classes", lambda: _hall_classes(True), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORGERIES))
+def test_forged_certificates_fail_replay_and_in_memory_check(name):
+    kind, factory, genuine = _FORGERIES[name]
+    cert, in_memory = factory()
+    assert cert["kind"] == kind
+    assert certs.certificate_digest(cert) == cert["digest"]
+    assert certs.verify_certificate(cert)[0] is genuine
+    if not in_memory:
+        return
+    if genuine:
+        in_memory()
+    else:
+        with pytest.raises(GroupError):
+            in_memory()
+
+
+def test_every_certificate_kind_has_a_forged_case():
+    forged = {kind for kind, _, genuine in _FORGERIES.values() if not genuine}
+    forged |= {claim[0] for claim in _CLAIMS.values() if not claim[-1]}
+    assert forged >= set(certs._VERIFIERS)
 
 
 def test_hall_classes_completeness_reports_cap(psl27):
