@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 
-from .errors import GroupError, Caps, DEFAULT_CAPS
+from .errors import GroupError, NotASubgroup, Caps, DEFAULT_CAPS
 from .group import PermGroup, Permutation, subgroup_check
 from .hall import SylowTower, hall_subgroups, pi_part, is_pi_number
 from .subgroup import ConjugacyWitness, Subgroup, is_conjugate
@@ -102,6 +102,15 @@ def load_certificate(path) -> dict:
 
 
 def conjugacy_witness_certificate(group, witness, transcript=None) -> dict:
+    """Certificate of a ConjugacyWitness; NotASubgroup unless it lies in group.
+
+    The witness object holds no ambient group, so membership of the witness
+    element, source and target is checked here, before anything is written.
+    """
+    if not group.contains(witness.element):
+        raise NotASubgroup(f"witness {witness.element.cycle_string()} is outside the ambient group")
+    subgroup_check(group, witness.source)
+    subgroup_check(group, witness.target)
     payload = {
         "source": subgroup_payload(witness.source),
         "target": subgroup_payload(witness.target),

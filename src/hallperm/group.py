@@ -9,7 +9,7 @@ for bit.  No randomization is used anywhere.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -276,11 +276,8 @@ def group_from_elements(degree: int, elements) -> PermGroup:
     return PermGroup(degree, gens, chain=chain)
 
 
-def orbit(seeds, gens, act, limit=None):
-    """Breadth-first closure of seeds under x -> act(x, g) for g in gens.
-
-    Returns the orbit as a set, or None once it would exceed limit points.
-    """
+def orbit(seeds, gens, act):
+    """Breadth-first closure of seeds under x -> act(x, g) for g in gens, as a set."""
     seen = set(seeds)
     frontier = deque(seen)
     while frontier:
@@ -288,11 +285,110 @@ def orbit(seeds, gens, act, limit=None):
         for g in gens:
             y = act(x, g)
             if y not in seen:
-                if limit is not None and len(seen) >= limit:
-                    return None
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+class ElementIndex:
+    """An enumerable group's elements numbered 0, 1, ... in canonical order.
+
+    Subgroup closures run on these numbers.  Right multiplication by a
+    number g has a memo row {x: x * g}, filled as products are asked for:
+    one Permutation product per distinct (x, g) pair, and only for the g
+    that a closure multiplies by.  The rows grow with every closure, so an
+    index lives for one computation and is never stored on the group.  The
+    identity, the least element, is number 0, and a set of numbers sorted
+    ascending lists its elements in canonical order.
+    """
+
+    def __init__(self, group: PermGroup, caps: Caps = DEFAULT_CAPS):
+        self.degree = group.degree
+        self.caps = caps
+        self.elements = group.elements(caps)
+        self.number = {e: i for i, e in enumerate(self.elements)}
+        self.generators = self.numbers(group.generators)
+        self._rows = defaultdict(dict)
+
+    def numbers(self, perms):
+        return [self.number[p] for p in perms]
+
+    def key(self, group: PermGroup):
+        """The numbers of a subgroup's elements."""
+        return frozenset(self.numbers(group.element_set(self.caps)))
+
+    def times(self, xs, g: int):
+        """[x * g for x in xs], for a list xs."""
+        row = self._rows[g]
+        out = list(map(row.get, xs))
+        if None in out:
+            pg = self.elements[g]
+            for i, y in enumerate(out):
+                if y is None:
+                    x = xs[i]
+                    out[i] = row[x] = self.number[self.elements[x] * pg]
+        return out
+
+    def mul(self, x: int, g: int) -> int:
+        y = self._rows[g].get(x)
+        return self.times([x], g)[0] if y is None else y
+
+    def cosets(self, sub, gens, limit=None):
+        """The right cosets Kx that make up <K, gens>, or None past limit elements.
+
+        sub holds the numbers of a subgroup K, and gens numbers that together
+        with K generate the join.  Dimino's closure: each coset rep r times
+        each generator g lands in a coset already present or in the new coset
+        Krg = (Kr)g.  Returns (elements, cosets): the set of numbers, and the
+        cosets as lists in discovery order, K first.
+        """
+        seen = set(sub)
+        cosets = [list(sub)]
+        reps = [0]
+        rows = [self._rows[g] for g in gens]
+        for r, coset in zip(reps, cosets):
+            for g, row in zip(gens, rows):
+                x = row.get(r)
+                if x is None:
+                    x = self.mul(r, g)
+                if x in seen:
+                    continue
+                if limit is not None and len(seen) + len(sub) > limit:
+                    return None
+                image = self.times(coset, g)
+                seen.update(image)
+                cosets.append(image)
+                reps.append(x)
+        return seen, cosets
+
+    def join(self, sub, gens, limit=None):
+        """Numbers of <K, gens> for the subgroup K with numbers sub, or None past limit.
+
+        gens must generate K together with what is adjoined.
+        """
+        found = self.cosets(sub, gens, limit)
+        return None if found is None else found[0]
+
+    def right_cosets(self, sub):
+        """Right cosets of the subgroup with numbers sub: (reps, coset number of each element).
+
+        Each rep is the least number of its coset and the reps ascend, as in
+        right_transversal.
+        """
+        _, cosets = self.cosets(sub, self.generators)
+        cosets.sort(key=min)
+        coset_of = [0] * len(self.elements)
+        for c, coset in enumerate(cosets):
+            for x in coset:
+                coset_of[x] = c
+        return [min(coset) for coset in cosets], coset_of
+
+    def with_elements(self, group: PermGroup, key) -> PermGroup:
+        """group, with its element caches filled from key, the numbers of its elements."""
+        members = [self.elements[i] for i in sorted(key)]
+        group._cache["elements"] = members
+        group._cache["element_set"] = frozenset(members)
+        return group
 
 
 def _image(point, g):

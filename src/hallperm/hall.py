@@ -12,13 +12,12 @@ subgroup lattice.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
-from .group import (PermGroup, coset_action, group_from_elements, normal_closure, orbit,
-                    trivial_group)
+from .group import (ElementIndex, PermGroup, coset_action, group_from_elements,
+                    normal_closure, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
 from .subgroup import (Subgroup, _as_group, _set_sort_key, all_subgroups, all_sylow_subgroups,
@@ -96,22 +95,20 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
         fixed_p = max(relevant, key=lambda p: (len(sylow_lists[p]), p))
         others = [p for p in relevant if p != fixed_p]
         fixed = sylow(parent, fixed_p, caps).group
-        fixed_elems = fixed.element_set(caps)
+        index = ElementIndex(parent, caps)
+        fixed_key = index.key(fixed)
+        fixed_gens = index.numbers(fixed.generators)
         candidates = {}
         for combo in itertools.product(*(sylow_lists[p] for p in others)):
-            seed = set(fixed_elems)
-            gens = fixed.generators
-            for q in combo:
-                seed |= q.element_set(caps)
-                gens = gens + q.generators
-            if len(seed) > target:
-                continue
-            closed = orbit(seed, gens, operator.mul, target)
+            gens = fixed_gens + [index.number[g] for q in combo for g in q.generators]
+            closed = index.join(fixed_key, gens, target)
             if closed is None or len(closed) != target:
                 continue
             key = frozenset(closed)
             if key not in candidates:
-                candidates[key] = group_from_elements(parent.degree, key)
+                members = [index.elements[i] for i in key]
+                candidates[key] = index.with_elements(
+                    group_from_elements(parent.degree, members), key)
         groups = [candidates[k] for k in sorted(candidates, key=_set_sort_key)]
         result = [rep for rep, _ in subgroup_conjugacy_classes(parent, groups, caps)]
     cached = parent._cache[cache_key] = [Subgroup(parent, g) for g in result]
@@ -189,14 +186,15 @@ def all_normal_subgroups(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
     """
     cached = parent._cache.get("normal_subgroups")
     if cached is None:
+        index = ElementIndex(parent, caps)
         seeds = {}
         for cls in element_conjugacy_classes(parent, caps):
             rep = cls[0]
             if rep.is_identity:
                 continue
             closure = normal_closure(parent, [rep], caps)
-            seeds.setdefault(closure.element_set(caps), closure.generators)
-        cached = [Subgroup(parent, g) for g in join_lattice(parent, seeds)]
+            seeds.setdefault(index.key(closure), closure.generators)
+        cached = [Subgroup(parent, g) for g in join_lattice(index, seeds)]
         parent._cache["normal_subgroups"] = cached
     return list(cached)
 

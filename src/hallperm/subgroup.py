@@ -9,14 +9,13 @@ one and reruns produce identical output.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
-from .group import (PermGroup, Permutation, combine_blockwise, decompose_blockwise,
-                    group_from_elements, inflate, orbit, right_transversal, subgroup_check,
-                    trivial_group)
+from .group import (ElementIndex, PermGroup, Permutation, combine_blockwise,
+                    decompose_blockwise, group_from_elements, inflate, orbit, right_transversal,
+                    subgroup_check, trivial_group)
 from .numth import is_p_power, is_prime, p_part
 
 
@@ -186,38 +185,36 @@ def _set_sort_key(elems):
     return (len(elems), tuple(sorted(elems)))
 
 
-def join_lattice(parent: PermGroup, seeds, order_divides=None):
+def join_lattice(index: ElementIndex, seeds, order_divides=None):
     """Every join of seed subgroups, sorted, each with its elements cached.
 
-    seeds maps the element set of each nontrivial seed subgroup to its
-    generators.  Starting from the trivial group and the seeds, every
-    subgroup found is joined with each seed not yet inside it until nothing
-    new appears.  With order_divides, joins whose order does not divide it
-    are dropped.
+    seeds maps the element numbers (in index) of each nontrivial seed
+    subgroup to its generators.  Starting from the trivial group and the
+    seeds, every subgroup found is joined with each seed not yet inside it
+    until nothing new appears.  With order_divides, joins whose order does
+    not divide it are dropped.  Number sets sort like the element sets they
+    stand for, because numbering follows the canonical order.
     """
-    seed_items = sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))
-    found = {frozenset([parent.identity]): (), **seeds}
-    queue = deque(key for key, _ in seed_items)
+    seed_items = [(skey, sgens, index.numbers(sgens))
+                  for skey, sgens in sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))]
+    found = {frozenset([0]): (), **seeds}
+    queue = deque(key for key, _, _ in seed_items)
     while queue:
         key = queue.popleft()
         gens = found[key]
-        for skey, sgens in seed_items:
-            if all(g in key for g in sgens):
+        numbers = index.numbers(gens)
+        for skey, sgens, snumbers in seed_items:
+            if all(g in key for g in snumbers):
                 continue
-            joined = orbit(key | skey, gens + sgens, operator.mul, order_divides)
+            joined = index.join(key, numbers + snumbers, order_divides)
             if joined is None or (order_divides is not None and order_divides % len(joined)):
                 continue
             jkey = frozenset(joined)
             if jkey not in found:
                 found[jkey] = gens + sgens
                 queue.append(jkey)
-    result = []
-    for key in sorted(found, key=_set_sort_key):
-        g = PermGroup(parent.degree, found[key])
-        g._cache["elements"] = sorted(key)
-        g._cache["element_set"] = key
-        result.append(g)
-    return result
+    return [index.with_elements(PermGroup(index.degree, found[key]), key)
+            for key in sorted(found, key=_set_sort_key)]
 
 
 def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
@@ -236,21 +233,18 @@ def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CA
     cache_key = ("all_subgroups", order_divides)
     cached = parent._cache.get(cache_key)
     if cached is None:
-        identity = parent.identity
+        index = ElementIndex(parent, caps)
         cyclics = {}
-        for e in parent.elements(caps):
-            if e.is_identity:
-                continue
+        for i, e in enumerate(index.elements[1:], 1):
             if order_divides is not None and order_divides % e.order() != 0:
                 continue
-            powers = set()
-            x = e
-            while not x.is_identity:
+            powers = {0}
+            x = i
+            while x:
                 powers.add(x)
-                x = x * e
-            powers.add(identity)
+                x = index.mul(x, i)
             cyclics.setdefault(frozenset(powers), (e,))
-        cached = [Subgroup(parent, g) for g in join_lattice(parent, cyclics, order_divides)]
+        cached = [Subgroup(parent, g) for g in join_lattice(index, cyclics, order_divides)]
         parent._cache[cache_key] = cached
     return list(cached)
 
@@ -400,26 +394,37 @@ def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):
 
     BFS on joins <M, t> with t running over a right transversal of M: any
     overgroup arises by adjoining one element at a time, and adjoining any
-    element of a coset Mt yields the same join as adjoining t.
+    element of a coset Mt yields the same join as adjoining t.  The same
+    holds for every element of the double coset MtM, so t is skipped when an
+    earlier rep's double coset already holds it.
     """
     sub = _as_group(sub)
     subgroup_check(parent, sub)
     cache_key = ("overgroups", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is None:
-        found = {sub.element_set(caps): sub}
-        queue = deque([sub])
-        parent_order = parent.order()
+        index = ElementIndex(parent, caps)
+        mul = index.mul
+        start = index.key(sub)
+        found = {start: sub}
+        queue = deque([start])
         while queue:
-            m = queue.popleft()
-            if m.order() == parent_order:
+            key = queue.popleft()
+            if len(key) == len(index.elements):
                 continue
-            for t in right_transversal(parent, m, caps)[1:]:
-                join = PermGroup(parent.degree, m.generators + (t,))
-                key = join.element_set(caps)
-                if key not in found:
-                    found[key] = join
-                    queue.append(join)
+            m = found[key]
+            numbers = index.numbers(m.generators)
+            reps, coset_of = index.right_cosets(key)
+            done = {0}
+            for c, t in enumerate(reps):
+                if c in done:
+                    continue
+                done |= orbit([c], numbers, lambda d, g: coset_of[mul(reps[d], g)])
+                joined = frozenset(index.join(key, numbers + [t]))
+                if joined not in found:
+                    join = PermGroup(parent.degree, m.generators + (index.elements[t],))
+                    found[joined] = index.with_elements(join, joined)
+                    queue.append(joined)
         cached = [Subgroup(parent, found[k]) for k in sorted(found, key=_set_sort_key)]
         parent._cache[cache_key] = cached
     return list(cached)

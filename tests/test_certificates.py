@@ -7,7 +7,7 @@ from hallperm import certificates as certs
 from hallperm.catalog import parse_group_spec
 from hallperm.constructions import (alternating, pointwise_stabilizer, sl2, symmetric,
                                     wreath_hall_pair)
-from hallperm.errors import CapExceeded, Caps, GroupError
+from hallperm.errors import CapExceeded, Caps, GroupError, NotASubgroup
 from hallperm.group import PermGroup, trivial_group
 from hallperm.hall import SylowTower, hall_subgroups, sylow_tower
 from hallperm.pronormal import (PronormalityFailure, PronormalityReport,
@@ -205,11 +205,27 @@ def _witness(ambient, source, target, element, in_memory=True):
     degree = ambient.degree
     claim = SimpleNamespace(element=perm(element, degree), source=_group(degree, source),
                             target=_group(degree, target), into=False)
-    cert = certs.conjugacy_witness_certificate(ambient, claim)
+    # The builder refuses a witness outside the ambient group, so the claim
+    # is certified over Sym(n) and the ambient group swapped in afterwards.
+    cert = certs.conjugacy_witness_certificate(symmetric(degree), claim)
+    cert["group"] = certs.group_payload(ambient)
+    cert["digest"] = certs.certificate_digest(cert)
     # ConjugacyWitness carries no ambient group: only the certificate can
     # see a witness outside G
     return cert, in_memory and (lambda: ConjugacyWitness(claim.element, claim.source,
                                                          claim.target))
+
+
+@pytest.mark.parametrize("source, target, element", [
+    (["(0 1 2)"], ["(0 1 3)"], "(2 3)"),          # witness outside A5
+    (["(0 1)"], ["(0 2)"], "(1 2 3)"),            # source and target outside A5
+])
+def test_conjugacy_witness_builder_rejects_outsiders(source, target, element):
+    a5 = alternating(5)
+    claim = SimpleNamespace(element=perm(element, 5), source=_group(5, source),
+                            target=_group(5, target), into=False)
+    with pytest.raises(NotASubgroup):
+        certs.conjugacy_witness_certificate(a5, claim)
 
 
 def _finding(conjecture, inner, outer_group=None):
