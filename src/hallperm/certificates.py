@@ -158,8 +158,14 @@ def non_strong_pronormality_certificate(group, report, pi=None) -> dict:
 
 
 def hall_classes_certificate(group, pi, reps, transcript=None) -> dict:
+    """Certificate of pi-Hall class reps; refuses a rep outside group or of the wrong order."""
+    hall_order = pi_part(group.order(), pi)
+    for r in reps:
+        subgroup_check(group, r.group)
+        if r.order() != hall_order:
+            raise GroupError(f"a representative of order {r.order()} is not a pi-Hall subgroup")
     payload = {
-        "hall_order": pi_part(group.order(), pi),
+        "hall_order": hall_order,
         "class_count": len(reps),
         "reps": [subgroup_payload(r.group) for r in reps],
     }
@@ -169,6 +175,9 @@ def hall_classes_certificate(group, pi, reps, transcript=None) -> dict:
 
 
 def sylow_tower_certificate(group, tower) -> dict:
+    """Certificate of a Sylow tower; refuses a subject outside group or a tower failing its check."""
+    subgroup_check(group, tower.subject)
+    tower.check()
     payload = {
         "subject": subgroup_payload(tower.subject),
         "complexion": list(tower.complexion),

@@ -545,12 +545,15 @@ def coset_action(parent: PermGroup, normal_sub: PermGroup, caps: Caps = DEFAULT_
 
     Returns (hom, image_group); the kernel of the action is normal_sub, which
     is verified by sifting each of its generators to the identity image.
+    The cache holds the action and the image but not the hom, whose source
+    is parent.  A hit needs no membership check, as in right_cosets.
     """
-    subgroup_check(parent, normal_sub)
     cache_key = ("coset_action", normal_sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:
-        return cached
+        act, gen_images, image = cached
+        return GroupHom(parent, image.degree, gen_images, apply=act), image
+    subgroup_check(parent, normal_sub)
     for a in normal_sub.generators:
         for g in parent.generators:
             if not normal_sub.contains(a.conj(g)):
@@ -573,7 +576,7 @@ def coset_action(parent: PermGroup, normal_sub: PermGroup, caps: Caps = DEFAULT_
         raise GroupError("coset action order mismatch")
     if parent.order() <= caps.hom_check_cap and not hom.verify(caps):
         raise GroupError("coset action failed the homomorphism check")
-    parent._cache[cache_key] = (hom, image)
+    parent._cache[cache_key] = (act, gen_images, image)
     return hom, image
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, PermGroup, coset_action, group_from_elements,
-                    normal_closure, trivial_group)
+                    normal_closure, subgroup_check, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
 from .subgroup import (Subgroup, _as_group, _set_sort_key, all_subgroups, all_sylow_subgroups,
@@ -65,9 +65,10 @@ def is_pi_free(n: int, pi) -> bool:
 
 
 def is_hall_subgroup(parent: PermGroup, sub, pi) -> bool:
+    """True iff sub lies in parent and has the pi-part of its order."""
     sub = _as_group(sub)
     n = sub.order()
-    return n == pi_part(parent.order(), pi) and is_pi_number(n, pi)
+    return n == pi_part(parent.order(), pi) and is_pi_number(n, pi) and parent.contains_group(sub)
 
 
 def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
@@ -78,11 +79,6 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
     have produced one.
     """
     pi = PrimeSet(pi)
-    cache_key = ("hall", tuple(sorted(pi)))
-    cached = parent._cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
-
     order = parent.order()
     target = pi_part(order, pi)
     if target == 1:
@@ -111,8 +107,7 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
                     group_from_elements(parent.degree, members), key)
         groups = [candidates[k] for k in sorted(candidates, key=_set_sort_key)]
         result = [rep for rep, _ in subgroup_conjugacy_classes(parent, groups, caps)]
-    cached = parent._cache[cache_key] = [Subgroup(parent, g) for g in result]
-    return list(cached)
+    return [Subgroup(parent, g) for g in result]
 
 
 @dataclass(frozen=True)
@@ -142,11 +137,6 @@ class ClassVerdict:
 def classify(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> ClassVerdict:
     """Existence, single-class and covering verdicts for pi in parent."""
     pi = PrimeSet(pi)
-    cache_key = ("classify", tuple(sorted(pi)))
-    cached = parent._cache.get(cache_key)
-    if cached is not None:
-        return cached
-
     target = pi_part(parent.order(), pi)
     reps = hall_subgroups(parent, pi, caps)
     satisfies_e = bool(reps)
@@ -166,12 +156,10 @@ def classify(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> ClassVerdict:
                     satisfies_d = False
                     d_failure = Subgroup(parent, rep)
                     break
-    verdict = ClassVerdict(pi=pi, hall_order=target, satisfies_e=satisfies_e,
-                           satisfies_c=satisfies_c, satisfies_d=satisfies_d,
-                           hall_class_reps=tuple(reps), class_count=len(reps),
-                           d_failure=d_failure)
-    parent._cache[cache_key] = verdict
-    return verdict
+    return ClassVerdict(pi=pi, hall_order=target, satisfies_e=satisfies_e,
+                        satisfies_c=satisfies_c, satisfies_d=satisfies_d,
+                        hall_class_reps=tuple(reps), class_count=len(reps),
+                        d_failure=d_failure)
 
 
 # -- normal structure ------------------------------------------------------
@@ -194,9 +182,8 @@ def all_normal_subgroups(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
                 continue
             closure = normal_closure(parent, [rep], caps)
             seeds.setdefault(index.key(closure), closure.generators)
-        cached = [Subgroup(parent, g) for g in join_lattice(index, seeds)]
-        parent._cache["normal_subgroups"] = cached
-    return list(cached)
+        cached = parent._cache["normal_subgroups"] = join_lattice(index, seeds)
+    return [Subgroup(parent, g) for g in cached]
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -209,20 +196,13 @@ def derived_subgroup(parent: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 
 def is_solvable(parent: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    cached = parent._cache.get("solvable")
-    if cached is None:
-        current = parent
-        while True:
-            if current.order() == 1:
-                cached = True
-                break
-            nxt = derived_subgroup(current, caps)
-            if nxt.order() == current.order():
-                cached = False
-                break
-            current = nxt
-        parent._cache["solvable"] = cached
-    return cached
+    current = parent
+    while current.order() > 1:
+        nxt = derived_subgroup(current, caps)
+        if nxt.order() == current.order():
+            return False
+        current = nxt
+    return True
 
 
 def is_pi_separable(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
@@ -262,9 +242,9 @@ class SylowTower:
     """A normal series of subject with prescribed Sylow factors top-down.
 
     series runs subject = H_0 > H_1 > ... > H_n = 1; complexion orders the
-    prime divisors of |subject|, and the i-th factor order equals the
-    complexion[i]-part of |subject|.  The one check for in-memory towers and
-    replayed certificates alike.
+    prime divisors of |subject|, every term lies in subject, and the i-th
+    factor order equals the complexion[i]-part of |subject|.  The one check
+    for in-memory towers and replayed certificates alike.
     """
 
     subject: PermGroup
@@ -278,6 +258,8 @@ class SylowTower:
         if len(self.series) != len(self.complexion) + 1:
             raise GroupError("tower series length does not match the complexion")
         groups = [s.group for s in self.series]
+        for term in groups:
+            subgroup_check(self.subject, term)
         if groups[0].order() != order or groups[-1].order() != 1:
             raise GroupError("tower endpoints are wrong")
         for i, p in enumerate(self.complexion):

@@ -198,7 +198,7 @@ def pronormality_instance(parent: PermGroup, h, g: Permutation,
     conj_gens = [x.conj(g) for x in h.generators]
     if all(h.contains(c) for c in conj_gens):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
-    norm = _normalizer(parent, h, caps).group if parent.order() <= caps.enum_cap else None
+    norm = _normalizer(parent, h, caps) if parent.order() <= caps.enum_cap else None
     return _decide_coset(parent, h, g, conj_gens, norm, caps)
 
 
@@ -245,7 +245,7 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
                                       indeterminate_reason="ambient beyond enum_cap; only shift powers probed")
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
 
-    norm = _normalizer(parent, h, caps).group
+    norm = _normalizer(parent, h, caps)
     checked = 0
     for t in right_transversal(parent, norm, caps):
         if t.is_identity:
@@ -305,7 +305,7 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
     for k, _size in sorted(classes, key=lambda c: (c[0].order(), tuple(c[0].elements()))):
         if k.order() == 1:
             continue
-        norm = _normalizer(parent, k, caps).group
+        norm = _normalizer(parent, k, caps)
         for g in right_transversal(parent, norm, caps):
             kg_gens = tuple(x.conj(g) for x in k.generators)
             checked += 1

@@ -21,13 +21,16 @@ from .numth import is_p_power, is_prime, p_part
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup together with the group it was verified to live in."""
+    """A plain record pairing a subgroup with the group it was computed in.
+
+    Results are wrapped in one on return and never cached, so no group's
+    cache refers back to the group.  Construction checks nothing: the
+    public entries check membership of the subgroups they are given, and
+    ignore the record's parent in favour of the parent they are passed.
+    """
 
     parent: PermGroup
     group: PermGroup
-
-    def __post_init__(self):
-        subgroup_check(self.parent, self.group)
 
     def order(self) -> int:
         return self.group.order()
@@ -87,11 +90,11 @@ def normalizer(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """
     sub = _as_group(sub)
     subgroup_check(parent, sub)
-    return _normalizer(parent, sub, caps)
+    return Subgroup(parent, _normalizer(parent, sub, caps))
 
 
-def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
-    """normalizer() for a sub the caller has already checked to lie in parent."""
+def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """N_parent(sub) for a sub the caller has already checked to lie in parent."""
     cache_key = ("normalizer", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:
@@ -107,8 +110,8 @@ def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) ->
         result = _normalizer_blockwise(parent, sub, caps)
         if result is None:
             raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
-    cached = parent._cache[cache_key] = Subgroup(parent, result)
-    return cached
+    parent._cache[cache_key] = result
+    return result
 
 
 def _normalizer_blockwise(parent: PermGroup, sub: PermGroup, caps: Caps):
@@ -136,9 +139,9 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cached = parent._cache.get(("sylow", p))
-    if cached is not None:
-        return cached
+    current = parent._cache.get(("sylow", p))
+    if current is not None:
+        return Subgroup(parent, current)
     target = p_part(parent.order(), p)
     if target == 1:
         current = trivial_group(parent.degree)
@@ -151,7 +154,7 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
                 break
         current = PermGroup(parent.degree, [seed])
         while current.order() < target:
-            norm = normalizer(parent, current, caps).group
+            norm = _normalizer(parent, current, caps)
             extended = None
             for x in norm.elements(caps):
                 if x.is_identity or not is_p_power(x.order(), p):
@@ -164,8 +167,8 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
             current = extended
         if current.order() != target:
             raise GroupError("sylow construction produced a wrong order")
-    cached = parent._cache[("sylow", p)] = Subgroup(parent, current)
-    return cached
+    parent._cache[("sylow", p)] = current
+    return Subgroup(parent, current)
 
 
 def all_sylow_subgroups(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS):
@@ -244,9 +247,8 @@ def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CA
                 powers.add(x)
                 x = index.mul(x, i)
             cyclics.setdefault(frozenset(powers), (e,))
-        cached = [Subgroup(parent, g) for g in join_lattice(index, cyclics, order_divides)]
-        parent._cache[cache_key] = cached
-    return list(cached)
+        cached = parent._cache[cache_key] = join_lattice(index, cyclics, order_divides)
+    return [Subgroup(parent, g) for g in cached]
 
 
 def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_CAPS):
@@ -360,7 +362,7 @@ def _is_conjugate_transversal(parent: PermGroup, h: PermGroup, k: PermGroup, cap
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
     k_key = k.element_set(caps)
     h_elems = h.element_set(caps)
-    norm = normalizer(parent, h, caps).group
+    norm = _normalizer(parent, h, caps)
     for t in right_transversal(parent, norm, caps):
         if conjugated_key(h_elems, t) == k_key:
             return ConjugacyWitness(t, h, k)
@@ -400,51 +402,42 @@ def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):
     """
     sub = _as_group(sub)
     subgroup_check(parent, sub)
-    cache_key = ("overgroups", sub.key(caps))
-    cached = parent._cache.get(cache_key)
-    if cached is None:
-        index = ElementIndex(parent, caps)
-        mul = index.mul
-        start = index.key(sub)
-        found = {start: sub}
-        queue = deque([start])
-        while queue:
-            key = queue.popleft()
-            if len(key) == len(index.elements):
+    index = ElementIndex(parent, caps)
+    mul = index.mul
+    start = index.key(sub)
+    found = {start: sub}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        if len(key) == len(index.elements):
+            continue
+        m = found[key]
+        numbers = index.numbers(m.generators)
+        reps, coset_of = index.right_cosets(key)
+        done = {0}
+        for c, t in enumerate(reps):
+            if c in done:
                 continue
-            m = found[key]
-            numbers = index.numbers(m.generators)
-            reps, coset_of = index.right_cosets(key)
-            done = {0}
-            for c, t in enumerate(reps):
-                if c in done:
-                    continue
-                done |= orbit([c], numbers, lambda d, g: coset_of[mul(reps[d], g)])
-                joined = frozenset(index.join(key, numbers + [t]))
-                if joined not in found:
-                    join = PermGroup(parent.degree, m.generators + (index.elements[t],))
-                    found[joined] = index.with_elements(join, joined)
-                    queue.append(joined)
-        cached = [Subgroup(parent, found[k]) for k in sorted(found, key=_set_sort_key)]
-        parent._cache[cache_key] = cached
-    return list(cached)
+            done |= orbit([c], numbers, lambda d, g: coset_of[mul(reps[d], g)])
+            joined = frozenset(index.join(key, numbers + [t]))
+            if joined not in found:
+                join = PermGroup(parent.degree, m.generators + (index.elements[t],))
+                found[joined] = index.with_elements(join, joined)
+                queue.append(joined)
+    return [Subgroup(parent, found[k]) for k in sorted(found, key=_set_sort_key)]
 
 
 def element_conjugacy_classes(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
     """Conjugacy classes of elements, each a sorted list, reps first elements."""
-    cached = parent._cache.get("element_classes")
-    if cached is None:
-        visited = set()
-        classes = []
-        for e in parent.elements(caps):
-            if e in visited:
-                continue
-            cls = orbit([e], parent.generators, lambda x, g: x.conj(g))
-            visited.update(cls)
-            classes.append(sorted(cls))
-        parent._cache["element_classes"] = classes
-        cached = classes
-    return cached
+    visited = set()
+    classes = []
+    for e in parent.elements(caps):
+        if e in visited:
+            continue
+        cls = orbit([e], parent.generators, lambda x, g: x.conj(g))
+        visited.update(cls)
+        classes.append(sorted(cls))
+    return classes
 
 
 def centralizer(parent: PermGroup, element: Permutation, caps: Caps = DEFAULT_CAPS) -> PermGroup:

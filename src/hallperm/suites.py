@@ -142,7 +142,7 @@ def _theorem1_group(result, name, group, caps):
                 result.checked += 1
                 if a.order() == group.order():
                     continue
-                product = _join_cached(group, hall, a, caps)
+                product = PermGroup(group.degree, hall.generators + a.generators)
                 meet = intersect_groups(hall, a, caps)
                 if product.order() * meet.order() != hall.order() * a.order():
                     _record(result, "violations", name, pi,
@@ -151,15 +151,6 @@ def _theorem1_group(result, name, group, caps):
                 if not classify(product, pi, caps).satisfies_c:
                     _record(result, "violations", name, pi,
                             f"HA of order {product.order()} fails the single-class property")
-
-
-def _join_cached(group: PermGroup, h: PermGroup, a: PermGroup, caps: Caps) -> PermGroup:
-    key = ("join", h.key(caps), a.key(caps))
-    cached = group._cache.get(key)
-    if cached is None:
-        cached = PermGroup(group.degree, h.generators + a.generators)
-        group._cache[key] = cached
-    return cached
 
 
 def _lemmas_group(result, name, group, caps):
@@ -295,19 +286,15 @@ def _classical_group(result, name, group, caps):
 
 def _maximal_subgroup_reps(group: PermGroup, caps: Caps):
     """One representative per conjugacy class of maximal subgroups."""
-    cached = group._cache.get("maximal_reps")
-    if cached is None:
-        subs = [s.group for s in all_subgroups(group, caps=caps)]
-        order = group.order()
-        keys = [(g.element_set(caps), g) for g in subs if g.order() < order]
-        maximal = []
-        for key, g in keys:
-            if any(key < other and len(other) < order for other, _ in keys):
-                continue
-            maximal.append(g)
-        cached = [rep for rep, _ in subgroup_conjugacy_classes(group, maximal, caps)]
-        group._cache["maximal_reps"] = cached
-    return cached
+    subs = [s.group for s in all_subgroups(group, caps=caps)]
+    order = group.order()
+    keys = [(g.element_set(caps), g) for g in subs if g.order() < order]
+    maximal = []
+    for key, g in keys:
+        if any(key < other and len(other) < order for other, _ in keys):
+            continue
+        maximal.append(g)
+    return [rep for rep, _ in subgroup_conjugacy_classes(group, maximal, caps)]
 
 
 def _towers_group(result, name, group, caps):

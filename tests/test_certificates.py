@@ -182,23 +182,34 @@ def _group(degree, gens):
     return PermGroup(degree, [perm(c, degree) for c in gens])
 
 
-def _tower(ambient, subject, complexion, series):
+def _tower(ambient, subject, complexion, series, genuine):
     tower = SylowTower(subject, tuple(complexion), tuple(Subgroup(subject, s) for s in series))
-    return certs.sylow_tower_certificate(ambient, tower), tower.check
+    if genuine:
+        return certs.sylow_tower_certificate(ambient, tower), tower.check
+    # the builder runs tower.check, so a false tower is written without it
+    with pytest.raises(GroupError):
+        certs.sylow_tower_certificate(ambient, tower)
+    payload = {"subject": certs.subgroup_payload(subject), "complexion": list(complexion),
+               "series": [certs.subgroup_payload(s) for s in series]}
+    return certs.make_certificate("sylow-tower", ambient, payload, {}), tower.check
 
 
-def _s3_tower(complexion):
+def _s3_tower(complexion, genuine):
     s3 = symmetric(3)
-    return _tower(s3, s3, complexion, [s3, _group(3, ["(0 1 2)"]), trivial_group(3)])
+    return _tower(s3, s3, complexion, [s3, _group(3, ["(0 1 2)"]), trivial_group(3)], genuine)
 
 
-def _a5_tower(genuine):
+def _a5_tower(case):
     a5 = alternating(5)
-    if genuine:         # A4 inside A5, through its normal Klein subgroup
-        a4 = _group(5, ["(0 1 2)", "(0 1)(2 3)"])
-        return _tower(a5, a4, [3, 2], [a4, _group(5, ["(0 1)(2 3)", "(0 2)(1 3)"]),
-                                       trivial_group(5)])
-    return _tower(a5, a5, [], [a5, trivial_group(5)])
+    # A4 inside A5, through its normal Klein subgroup
+    a4 = _group(5, ["(0 1 2)", "(0 1)(2 3)"])
+    klein = _group(5, ["(0 1)(2 3)", "(0 2)(1 3)"])
+    if case == "genuine":
+        return _tower(a5, a4, [3, 2], [a4, klein, trivial_group(5)], True)
+    if case == "outside":    # an A4 on other points heads the subject's series
+        other = _group(5, ["(1 2 3)", "(1 2)(3 4)"])
+        return _tower(a5, a4, [3, 2], [other, klein, trivial_group(5)], False)
+    return _tower(a5, a5, [], [a5, trivial_group(5)], False)
 
 
 def _witness(ambient, source, target, element, in_memory=True):
@@ -226,6 +237,23 @@ def test_conjugacy_witness_builder_rejects_outsiders(source, target, element):
                             target=_group(5, target), into=False)
     with pytest.raises(NotASubgroup):
         certs.conjugacy_witness_certificate(a5, claim)
+
+
+def test_hall_classes_builder_refuses_a_false_rep():
+    a5 = alternating(5)
+    # order 4 is the 2-part of 60, but (0 1) is odd
+    outsider = Subgroup(a5, _group(5, ["(0 1)", "(2 3)"]))
+    too_small = Subgroup(a5, _group(5, ["(0 1)(2 3)"]))
+    with pytest.raises(NotASubgroup):
+        certs.hall_classes_certificate(a5, {2}, [outsider])
+    with pytest.raises(GroupError):
+        certs.hall_classes_certificate(a5, {2}, [too_small])
+
+
+def test_sylow_tower_builder_refuses_a_subject_outside_the_group():
+    tower = sylow_tower(_group(5, ["(0 1)", "(0 1 2)"]), (2, 3))
+    with pytest.raises(NotASubgroup):
+        certs.sylow_tower_certificate(alternating(5), tower)
 
 
 def _finding(conjecture, inner, outer_group=None):
@@ -258,10 +286,12 @@ def _hall_classes(extra_conjugate):
 
 
 _FORGERIES = {
-    "tower sym:3 genuine": ("sylow-tower", lambda: _s3_tower([2, 3]), True),
-    "tower sym:3 complexion misses 3": ("sylow-tower", lambda: _s3_tower([2]), False),
-    "tower alt:5 genuine A4": ("sylow-tower", lambda: _a5_tower(True), True),
-    "tower alt:5 empty complexion": ("sylow-tower", lambda: _a5_tower(False), False),
+    "tower sym:3 genuine": ("sylow-tower", lambda: _s3_tower([2, 3], True), True),
+    "tower sym:3 complexion misses 3": ("sylow-tower", lambda: _s3_tower([2], False), False),
+    "tower alt:5 genuine A4": ("sylow-tower", lambda: _a5_tower("genuine"), True),
+    "tower alt:5 top term outside the subject": ("sylow-tower", lambda: _a5_tower("outside"),
+                                                 False),
+    "tower alt:5 empty complexion": ("sylow-tower", lambda: _a5_tower("empty"), False),
     "witness alt:5 genuine": ("conjugacy-witness", lambda: _witness(
         alternating(5), ["(0 1 2)"], ["(0 1 3)"], "(2 3 4)"), True),
     "witness outside G": ("conjugacy-witness", lambda: _witness(

@@ -2,10 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hallperm.constructions import alternating, cyclic, dihedral, symmetric
+from hallperm.group import PermGroup
 from hallperm.hall import (PrimeSet, all_normal_subgroups, classify, hall_subgroups,
-                           is_pi_free, is_pi_number, is_pi_separable, is_solvable,
-                           pi_part, sylow_tower, towers_conjugacy_check)
+                           is_hall_subgroup, is_pi_free, is_pi_number, is_pi_separable,
+                           is_solvable, pi_part, sylow_tower, towers_conjugacy_check)
 from hallperm.subgroup import is_conjugate
+
+from conftest import perm
+
 
 def test_prime_set_validates():
     assert sorted(PrimeSet({2, 3, 5})) == [2, 3, 5]
@@ -58,6 +62,15 @@ def test_hall_subgroup_full_prime_set(psl27):
     reps = hall_subgroups(psl27, {2, 3, 7})
     assert len(reps) == 1
     assert reps[0].order() == 168
+
+
+def test_is_hall_subgroup_checks_membership(alt5, sym5):
+    # order 12 = the {2,3}-part of 60, but (0 1) is odd
+    s3_s2 = PermGroup(5, [perm("(0 1)", 5), perm("(0 1 2)", 5), perm("(3 4)", 5)])
+    assert s3_s2.order() == 12
+    assert not is_hall_subgroup(alt5, s3_s2, {2, 3})
+    assert is_hall_subgroup(sym5, PermGroup(5, [perm("(0 1 2 3 4)", 5)]), {5})
+    assert all(is_hall_subgroup(alt5, r, {2, 3}) for r in hall_subgroups(alt5, {2, 3}))
 
 
 def test_hall_subgroup_empty_pi(sym5):

@@ -2,8 +2,9 @@ import pytest
 
 from hallperm.errors import NotASubgroup
 from hallperm.group import PermGroup, group_from_elements
-from hallperm.subgroup import (ConjugacyWitness, all_subgroups, centralizer, conjugate_into,
-                               is_conjugate, is_normal, normalizer, overgroups,
+from hallperm.pronormal import is_pronormal, pronormality_instance
+from hallperm.subgroup import (ConjugacyWitness, Subgroup, all_subgroups, centralizer,
+                               conjugate_into, is_conjugate, is_normal, normalizer, overgroups,
                                subgroup_conjugacy_classes, sylow)
 from hallperm.constructions import alternating, cyclic, dihedral, symmetric
 
@@ -154,10 +155,21 @@ def test_overgroups_of_sylow2_in_sym4():
     assert names == [4, 8, 8, 8, 12, 24]
 
 
-def test_subgroup_handle_rejects_outsiders(alt5):
+# Subgroup is a record and checks nothing, so each entry checks what it reads.
+_ENTRIES = {
+    "is_pronormal": is_pronormal,
+    "normalizer": normalizer,
+    "overgroups": overgroups,
+    "is_conjugate": lambda g, h: is_conjugate(g, g, h),
+    "pronormality_instance": lambda g, h: pronormality_instance(g, h, g.identity),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_entries_reject_an_outsider_in_a_record(alt5, entry):
+    outsider = Subgroup(alt5, PermGroup(5, [perm("(0 1)", 5)]))
     with pytest.raises(NotASubgroup):
-        from hallperm.subgroup import Subgroup
-        Subgroup(alt5, PermGroup(5, [perm("(0 1)", 5)]))
+        _ENTRIES[entry](alt5, outsider)
 
 
 def test_centralizer(sym5):
