@@ -178,6 +178,7 @@ class PermGroup:
     """Degree + generators with a lazily built stabilizer chain.
 
     Immutable once the chain is built; all queries afterwards are read-only.
+    order() and contains() answer from the element cache when it is filled.
     """
 
     def __init__(self, degree: int, generators=(), chain: Optional[StabilizerChain] = None,
@@ -209,7 +210,8 @@ class PermGroup:
         return self._chain
 
     def order(self) -> int:
-        return self.chain.order()
+        known = self._cache.get("elements")
+        return self.chain.order() if known is None else len(known)
 
     @property
     def identity(self) -> Permutation:
@@ -218,6 +220,8 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if len(p) != self.degree:
             raise DegreeMismatch(f"degree {len(p)} element against degree-{self.degree} group")
+        if "elements" in self._cache:
+            return p in self.element_set()
         return self.chain.contains(p)
 
     def contains_group(self, other: "PermGroup") -> bool:
@@ -264,16 +268,18 @@ def trivial_group(degree: int) -> PermGroup:
 
 
 def group_from_elements(degree: int, elements) -> PermGroup:
-    """Group whose element set is the given closed set, with few generators."""
-    chain = StabilizerChain(degree)
-    gens = []
-    for e in sorted(elements):
-        if e.is_identity:
-            continue
-        if not chain.contains(e):
-            chain.add_generator(e)
-            gens.append(e)
-    return PermGroup(degree, gens, chain=chain)
+    """Group whose element set is the given closed set, with few generators.
+
+    Picks, in canonical order, each element outside the closure of earlier
+    picks; GroupError if the set is not closed under products."""
+    members = sorted(set(elements))
+    if not members or members[0] != Permutation.identity(degree):
+        raise GroupError(f"element set lacks the degree-{degree} identity")
+    closure = NumberClosure(ElementIndex(members))
+    try:
+        return closure.group(pick_generators(closure, members))
+    except KeyError:
+        raise GroupError("element set is not closed under products") from None
 
 
 def orbit(seeds, gens, act):
@@ -293,21 +299,23 @@ def orbit(seeds, gens, act):
 class ElementIndex:
     """An enumerable group's elements numbered 0, 1, ... in canonical order.
 
-    Subgroup closures run on these numbers.  Right multiplication by a
-    number g has a memo row {x: x * g}, filled as products are asked for:
-    one Permutation product per distinct (x, g) pair, and only for the g
-    that a closure multiplies by.  The rows grow with every closure, so an
-    index lives for one computation and is never stored on the group.  The
-    identity, the least element, is number 0, and a set of numbers sorted
-    ascending lists its elements in canonical order.
+    The group may also be given as its sorted element list, which has no
+    generators.  Subgroup closures run on these numbers.  Right
+    multiplication by a number g has a memo row {x: x * g}, filled as
+    products are asked for: one Permutation product per distinct (x, g)
+    pair, and only for the g that a closure multiplies by.  The rows grow
+    with every closure, so an index lives for one computation and is never
+    stored on the group.  The identity, the least element, is number 0, and
+    a set of numbers sorted ascending lists its elements in canonical order.
     """
 
-    def __init__(self, group: PermGroup, caps: Caps = DEFAULT_CAPS):
-        self.degree = group.degree
+    def __init__(self, group, caps: Caps = DEFAULT_CAPS):
+        is_group = isinstance(group, PermGroup)
         self.caps = caps
-        self.elements = group.elements(caps)
+        self.elements = group.elements(caps) if is_group else group
+        self.degree = len(self.elements[0])
         self.number = {e: i for i, e in enumerate(self.elements)}
-        self.generators = self.numbers(group.generators)
+        self.generators = self.numbers(group.generators) if is_group else []
         self._rows = defaultdict(dict)
 
     def numbers(self, perms):
@@ -391,6 +399,24 @@ class ElementIndex:
         return group
 
 
+class NumberClosure:
+    """A subgroup grown on an index's numbers; contains/add_generator as in StabilizerChain."""
+
+    def __init__(self, index: ElementIndex):
+        self.index, self.numbers, self.members = index, [], {0}
+
+    def contains(self, p: Permutation) -> bool:
+        return self.index.number[p] in self.members
+
+    def add_generator(self, p: Permutation):
+        self.numbers.append(self.index.number[p])
+        self.members = self.index.join(self.members, self.numbers)
+
+    def group(self, gens) -> PermGroup:
+        """<gens> for gens the permutations added, with its element caches filled."""
+        return self.index.with_elements(PermGroup(self.index.degree, gens), self.members)
+
+
 def _image(point, g):
     return g[point]
 
@@ -446,28 +472,34 @@ def normal_closure(parent: PermGroup, seeds, caps: Caps = DEFAULT_CAPS) -> PermG
     for s in seeds:
         if not parent.contains(s):
             raise NotASubgroup(f"seed {s.cycle_string()} is outside the parent group")
-    chain = StabilizerChain(parent.degree)
-    gens = []
-    worklist = deque(s for s in seeds if not s.is_identity)
-    while worklist:
-        s = worklist.popleft()
-        if chain.contains(s):
-            continue
-        chain.add_generator(s)
-        gens.append(s)
-        for g in parent.generators:
-            worklist.append(s.conj(g))
-    result = PermGroup(parent.degree, gens, chain=chain)
-    # Sanity: conjugating the result's generators by parent generators stays inside.
-    for h in result.generators:
-        for g in parent.generators:
-            if not result.contains(h.conj(g)):
-                raise GroupError("normal closure is not closed under conjugation")
+    enumerable = parent.order() <= caps.enum_cap
+    closure = (NumberClosure(ElementIndex(parent, caps)) if enumerable
+               else StabilizerChain(parent.degree))
+    gens = pick_generators(closure, seeds, parent.generators)
+    result = closure.group(gens) if enumerable else PermGroup(parent.degree, gens, chain=closure)
     if parent.factors is not None:
         structured = attach_block_structure(result, parent.factors.blocks)
         if structured is not None:
             return structured
     return result
+
+
+def pick_generators(closure, worklist, conjugators=()) -> list:
+    """Add to closure (a StabilizerChain or NumberClosure) each worklist entry it misses.
+
+    Returns these picks; their conjugates by conjugators join the worklist,
+    so with the parent's generators the picks generate a normal closure."""
+    gens = []
+    worklist = deque(worklist)
+    while worklist:
+        s = worklist.popleft()
+        if not closure.contains(s):
+            closure.add_generator(s)
+            gens.append(s)
+            worklist.extend(s.conj(g) for g in conjugators)
+    if not all(closure.contains(h.conj(g)) for h in gens for g in conjugators):
+        raise GroupError("normal closure is not closed under conjugation")
+    return gens
 
 
 class GroupHom:
@@ -532,12 +564,9 @@ class GroupHom:
         n = self.source.order()
         if n > caps.hom_check_cap:
             raise CapExceeded("hom_check_cap", caps.hom_check_cap, n)
-        for x in self.source.elements(caps):
-            fx = self.image_of(x)
-            for g, fg in zip(self.source.generators, self.gen_images):
-                if self.image_of(g * x) != fg * fx:
-                    return False
-        return True
+        images = {x: self.image_of(x) for x in self.source.elements(caps)}
+        pairs = list(zip(self.source.generators, self.gen_images))
+        return all(images[g * x] == fg * fx for x, fx in images.items() for g, fg in pairs)
 
 
 def coset_action(parent: PermGroup, normal_sub: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -633,14 +662,17 @@ def decompose_blockwise(group: PermGroup, blocks):
 
 
 def attach_block_structure(group: PermGroup, blocks) -> Optional[PermGroup]:
-    """Re-wrap group with DirectFactorStructure when it splits over blocks."""
+    """Re-wrap group, keeping its chain and caches, with DirectFactorStructure
+    when it splits over blocks."""
     components = decompose_blockwise(group, blocks)
     if components is None:
         return None
     structure = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
                                       factor_groups=tuple(components), shift=None)
-    return PermGroup(group.degree, group.generators, chain=group._chain,
-                     factors=structure, provenance=group.provenance)
+    structured = PermGroup(group.degree, group.generators, chain=group._chain,
+                           factors=structure, provenance=group.provenance)
+    structured._cache.update(group._cache)
+    return structured
 
 
 def combine_blockwise(parts, blocks, degree: int) -> Permutation:

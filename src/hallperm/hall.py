@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
-from .group import (ElementIndex, PermGroup, coset_action, group_from_elements,
-                    normal_closure, subgroup_check, trivial_group)
+from .errors import GroupError, Caps, DEFAULT_CAPS
+from .group import (ElementIndex, NumberClosure, PermGroup, coset_action, group_from_elements,
+                    normal_closure, pick_generators, subgroup_check, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
 from .subgroup import (Subgroup, _as_group, _set_sort_key, all_subgroups, all_sylow_subgroups,
@@ -102,9 +102,8 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
                 continue
             key = frozenset(closed)
             if key not in candidates:
-                members = [index.elements[i] for i in key]
-                candidates[key] = index.with_elements(
-                    group_from_elements(parent.degree, members), key)
+                candidates[key] = group_from_elements(parent.degree,
+                                                      [index.elements[i] for i in key])
         groups = [candidates[k] for k in sorted(candidates, key=_set_sort_key)]
         result = [rep for rep, _ in subgroup_conjugacy_classes(parent, groups, caps)]
     return [Subgroup(parent, g) for g in result]
@@ -177,11 +176,10 @@ def all_normal_subgroups(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
         index = ElementIndex(parent, caps)
         seeds = {}
         for cls in element_conjugacy_classes(parent, caps):
-            rep = cls[0]
-            if rep.is_identity:
-                continue
-            closure = normal_closure(parent, [rep], caps)
-            seeds.setdefault(index.key(closure), closure.generators)
+            closure = NumberClosure(index)
+            gens = pick_generators(closure, cls[:1], parent.generators)
+            if gens:
+                seeds.setdefault(frozenset(closure.members), tuple(gens))
         cached = parent._cache["normal_subgroups"] = join_lattice(index, seeds)
     return [Subgroup(parent, g) for g in cached]
 
@@ -228,10 +226,7 @@ def is_pi_separable(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
             if is_pi_number(ratio, pi) or is_pi_free(ratio, pi):
                 chains[key] = chains[mkey] + [s]
                 break
-    top = parent.element_set(caps) if parent.order() <= caps.enum_cap else None
-    if top is None:
-        raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
-    return chains.get(top)
+    return chains.get(parent.element_set(caps))
 
 
 # -- Sylow towers ----------------------------------------------------------

@@ -7,6 +7,7 @@ Points are 0-based throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -77,7 +78,7 @@ class Permutation(tuple):
 
     @property
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self))
+        return self == _identity_images(len(self))
 
     def __mul__(self, other):
         if len(self) != len(other):
@@ -151,6 +152,11 @@ class Permutation(tuple):
 
     def __repr__(self):
         return f"Permutation[{self.cycle_string()}, deg {len(self)}]"
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_images(degree: int) -> tuple:
+    return tuple(range(degree))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

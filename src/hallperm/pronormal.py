@@ -10,19 +10,18 @@ over a right transversal of the normalizer.  Multiplying on the right
 instead would change the joint subgroup, so only the left factor may be
 dropped.
 
-Decision order for one instance (H, g) with joint J = <H, H^g>, made by one
-function, _decide_coset, for both is_pronormal (g over the transversal) and
+One function, _decide_coset, decides an instance (H, g) with joint
+J = <H, H^g> for is_pronormal (g over the transversal) and
 pronormality_instance (one g): some x in J has H^x = H^g exactly when J
-meets the coset N_G(H)*g, and since H <= J it is enough to sift n*g into
-J's stabilizer chain for n over a right transversal of H in N_G(H),
-identity (so g itself) first.  A hit decides the
-instance positively without enumerating J.  A miss falls through to the
-exhaustive scan of J (or of its blocks), which independently confirms the
-negative and supplies the failure data that certificates record; a scan
-that finds a conjugator after a full coset miss raises GroupError.  When
-N_G(H) is beyond enumeration only g itself is sifted, and the scan decides
-the rest.  Strong pronormality has the analogous shortcut: g in <H, K^g>
-gives x = g^-1 with K^(gx) = K <= H; negatives keep the scan.
+meets N_G(H)*g, and as H <= J, testing n*g in J for n over a right
+transversal of H in N_G(H), identity first, decides it.  is_pronormal
+closes J on the element numbers of G and tests by lookup;
+pronormality_instance sifts into J's chain, and g alone when N_G(H) is
+beyond enumeration.  A miss falls through to the exhaustive scan of J (or
+of its blocks), which confirms the negative and supplies the certificate
+data; a scan that finds a conjugator after a full coset miss raises
+GroupError.  Strong pronormality tests g in <H, K^g> the same way (x = g^-1
+gives K^(gx) = K <= H); negatives keep the scan.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
-from .group import (PermGroup, Permutation, attach_block_structure, decompose_blockwise,
-                    inflate, intersect_groups, normal_closure, right_transversal,
-                    subgroup_check)
+from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure,
+                    decompose_blockwise, inflate, intersect_groups, normal_closure,
+                    right_transversal, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
                        conjugate_into, is_normal, normalizer, subgroup_conjugacy_classes)
@@ -141,33 +140,38 @@ def _joint_meets_coset(joint: PermGroup, h: PermGroup, norm: Optional[PermGroup]
                        g: Permutation, caps: Caps) -> bool:
     """True iff joint meets the coset norm*g (norm = N_G(h)); g alone when norm is None.
 
-    The caller guarantees h <= joint, so one sift per coset h*n decides it,
-    n over right_transversal(norm, h).  That transversal starts with the
-    identity, so g is sifted first, and it is only built when g misses.
+    The caller guarantees h <= joint, so one membership test per coset h*n
+    decides it, n over right_transversal(norm, h).  That transversal starts
+    with the identity, so g is tested first, and it is only built when g misses.
     """
-    chain = joint.chain
-    if chain.contains(g):
+    if joint.contains(g):
         return True
-    return norm is not None and any(chain.contains(n * g)
+    return norm is not None and any(joint.contains(n * g)
                                     for n in right_transversal(norm, h, caps)[1:])
 
 
-def _joint_of(h: PermGroup, conj_gens, blocks) -> PermGroup:
-    """<h, conj_gens>, carrying the block structure when it splits over blocks."""
+def _joint_of(h: PermGroup, conj_gens, blocks, index=None) -> PermGroup:
+    """<h, conj_gens>, carrying the block structure when it splits over blocks;
+    given the ambient group's ElementIndex, closed on numbers with its elements known."""
     joint = PermGroup(h.degree, h.generators + tuple(conj_gens))
+    if index is not None:
+        # a closure past half the ambient group is all of it (Lagrange)
+        whole = len(index.elements)
+        members = index.join(index.key(h), index.numbers(joint.generators), whole // 2)
+        index.with_elements(joint, range(whole) if members is None else members)
     if blocks:
         joint = attach_block_structure(joint, blocks) or joint
     return joint
 
 
 def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
-                  norm: Optional[PermGroup], caps: Caps) -> PronormalityReport:
+                  norm: Optional[PermGroup], caps: Caps, index=None) -> PronormalityReport:
     """Decide the instance (h, g) for both testers; conj_gens are h's generators ^ g.
 
-    Sifts the coset norm*g (g alone when norm is None) into the joint and
-    scans the joint only on a miss.  The report counts one coset.
+    Tests the coset norm*g (g alone when norm is None) for membership in the
+    joint and scans the joint only on a miss.  The report counts one coset.
     """
-    joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks)
+    joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks, index)
     if _joint_meets_coset(joint, h, norm, g, caps):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
     status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
@@ -246,12 +250,11 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
 
     norm = _normalizer(parent, h, caps)
+    index = ElementIndex(parent, caps)
     checked = 0
-    for t in right_transversal(parent, norm, caps):
-        if t.is_identity:
-            continue
+    for t in right_transversal(parent, norm, caps)[1:]:
         checked += 1
-        report = _decide_coset(parent, h, t, [x.conj(t) for x in h.generators], norm, caps)
+        report = _decide_coset(parent, h, t, [x.conj(t) for x in h.generators], norm, caps, index)
         if report.verdict is not True:
             return replace(report, checked_coset_count=checked)
     return PronormalityReport(h, parent, True, checked_coset_count=checked)
@@ -306,12 +309,13 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
         if k.order() == 1:
             continue
         norm = _normalizer(parent, k, caps)
+        index = ElementIndex(parent, caps)
         for g in right_transversal(parent, norm, caps):
             kg_gens = tuple(x.conj(g) for x in k.generators)
             checked += 1
             if all(x in h_set for x in kg_gens):
                 continue
-            joint = PermGroup(h.degree, h.generators + kg_gens)
+            joint = _joint_of(h, kg_gens, None, index)
             if joint.contains(g):
                 continue
             # joint <= parent, which right_transversal just enumerated

@@ -13,9 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
-from .group import (ElementIndex, PermGroup, Permutation, combine_blockwise,
-                    decompose_blockwise, group_from_elements, inflate, orbit, right_transversal,
-                    subgroup_check, trivial_group)
+from .group import (ElementIndex, NumberClosure, PermGroup, Permutation, combine_blockwise,
+                    decompose_blockwise, group_from_elements, inflate, orbit, pick_generators,
+                    right_transversal, subgroup_check, trivial_group)
 from .numth import is_p_power, is_prime, p_part
 
 
@@ -146,25 +146,18 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     if target == 1:
         current = trivial_group(parent.degree)
     else:
-        seed = None
-        for e in parent.elements(caps):
-            o = e.order()
-            if o % p == 0:
-                seed = e ** (o // p_part(o, p))
-                break
-        current = PermGroup(parent.degree, [seed])
-        while current.order() < target:
-            norm = _normalizer(parent, current, caps)
-            extended = None
-            for x in norm.elements(caps):
-                if x.is_identity or not is_p_power(x.order(), p):
-                    continue
-                if not current.contains(x):
-                    extended = PermGroup(parent.degree, current.generators + (x,))
-                    break
+        e = next(e for e in parent.elements(caps) if e.order() % p == 0)
+        seed = e ** (e.order() // p_part(e.order(), p))
+        closure = NumberClosure(ElementIndex(parent, caps))
+        gens = pick_generators(closure, [seed])
+        while len(closure.members) < target:
+            norm = _normalizer(parent, closure.group(gens), caps)
+            extended = next((x for x in norm.elements(caps)
+                             if is_p_power(x.order(), p) and not closure.contains(x)), None)
             if extended is None:
                 raise GroupError("sylow ascent stalled (library bug)")
-            current = extended
+            gens += pick_generators(closure, [extended])
+        current = closure.group(gens)
         if current.order() != target:
             raise GroupError("sylow construction produced a wrong order")
     parent._cache[("sylow", p)] = current

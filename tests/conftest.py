@@ -105,3 +105,16 @@ def blockwise_equivalence_instance(seed):
     slow = (_is_conjugate_transversal(plain, h, k, DEFAULT_CAPS)
             if h.order() == k.order() else None)
     return (fast is None) == (slow is None)
+
+
+def chain_picked_generators(degree, elements):
+    """The generators a stabilizer chain picks from a closed set: each element,
+    in sorted order, that the chain of the earlier picks does not contain."""
+    from hallperm.group import StabilizerChain
+    chain = StabilizerChain(degree)
+    picked = []
+    for e in sorted(elements):
+        if not chain.contains(e):
+            chain.add_generator(e)
+            picked.append(e)
+    return picked
