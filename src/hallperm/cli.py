@@ -83,8 +83,8 @@ def _print_analysis(group, label, pi, caps, out_dir):
         report = is_pronormal(group, rep.group, caps)
         state = {True: "yes", False: "no", None: "indeterminate"}[report.verdict]
         print(f"  class {i} pronormal: {state}")
-    if verdict.satisfies_e:
-        _write(certs.hall_classes_certificate(group, pi, verdict.hall_class_reps), out_dir)
+    # with E false the certificate claims class_count 0, which replay re-sweeps
+    _write(certs.hall_classes_certificate(group, pi, verdict.hall_class_reps), out_dir)
     if verdict.d_failure is not None:
         print(f"  covering failure: pi-subgroup of order {verdict.d_failure.order()}")
     return verdict

@@ -12,7 +12,8 @@ subgroup lattice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import GroupError, Caps, DEFAULT_CAPS
@@ -20,8 +21,8 @@ from .group import (ElementIndex, NumberClosure, PermGroup, coset_action, group_
                     normal_closure, pick_generators, subgroup_check, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
-from .subgroup import (Subgroup, _as_group, _set_sort_key, all_subgroups, all_sylow_subgroups,
-                       conjugate_into, element_conjugacy_classes, is_normal, join_lattice,
+from .subgroup import (Subgroup, _as_group, _set_sort_key, all_sylow_subgroups, conjugate_into,
+                       element_conjugacy_classes, is_normal, join_lattice, subgroup_classes,
                        subgroup_conjugacy_classes, sylow)
 
 
@@ -113,18 +114,34 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
 class ClassVerdict:
     """Outcome of the existence / single-class / covering test for one pi.
 
-    satisfies_d is tested as: single class, plus every pi-subgroup lies in
-    a conjugate of the Hall representative.
+    D (single class, plus every pi-subgroup lies in a conjugate of the Hall
+    representative) is decided on the first read of satisfies_d or
+    d_failure and kept; a subgroup_cap hit surfaces at that read.
     """
 
     pi: PrimeSet
     hall_order: int
     satisfies_e: bool
     satisfies_c: bool
-    satisfies_d: bool
     hall_class_reps: tuple
     class_count: int
-    d_failure: Optional[Subgroup] = None
+    parent: PermGroup = field(compare=False, repr=False)
+    caps: Caps = field(default=DEFAULT_CAPS, compare=False, repr=False)
+
+    @cached_property
+    def d_failure(self) -> Optional[Subgroup]:
+        """The first pi-subgroup class rep, in rep order, not conjugate into the Hall rep."""
+        if not self.satisfies_c or not 1 < self.hall_order < self.parent.order():
+            return None
+        hall = self.hall_class_reps[0].group
+        for rep, _ in subgroup_classes(self.parent, self.hall_order, self.caps):
+            if rep.order() > 1 and conjugate_into(self.parent, rep, hall, self.caps) is None:
+                return Subgroup(self.parent, rep)
+        return None
+
+    @cached_property
+    def satisfies_d(self) -> bool:
+        return self.satisfies_c and self.d_failure is None
 
     def summary(self) -> str:
         return (f"E={'yes' if self.satisfies_e else 'no'} "
@@ -134,31 +151,12 @@ class ClassVerdict:
 
 
 def classify(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> ClassVerdict:
-    """Existence, single-class and covering verdicts for pi in parent."""
+    """E and C for pi in parent from the Hall sweep; D waits until it is read."""
     pi = PrimeSet(pi)
-    target = pi_part(parent.order(), pi)
     reps = hall_subgroups(parent, pi, caps)
-    satisfies_e = bool(reps)
-    satisfies_c = len(reps) == 1
-    satisfies_d = False
-    d_failure = None
-    if satisfies_c:
-        satisfies_d = True
-        hall_rep = reps[0]
-        if 1 < target < parent.order():
-            pi_subs = all_subgroups(parent, order_divides=target, caps=caps)
-            classes = subgroup_conjugacy_classes(parent, [s.group for s in pi_subs], caps)
-            for rep, _ in classes:
-                if rep.order() == 1:
-                    continue
-                if conjugate_into(parent, rep, hall_rep.group, caps) is None:
-                    satisfies_d = False
-                    d_failure = Subgroup(parent, rep)
-                    break
-    return ClassVerdict(pi=pi, hall_order=target, satisfies_e=satisfies_e,
-                        satisfies_c=satisfies_c, satisfies_d=satisfies_d,
-                        hall_class_reps=tuple(reps), class_count=len(reps),
-                        d_failure=d_failure)
+    return ClassVerdict(pi=pi, hall_order=pi_part(parent.order(), pi), satisfies_e=bool(reps),
+                        satisfies_c=len(reps) == 1, hall_class_reps=tuple(reps),
+                        class_count=len(reps), parent=parent, caps=caps)
 
 
 # -- normal structure ------------------------------------------------------

@@ -35,7 +35,7 @@ from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure
                     right_transversal, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
-                       conjugate_into, is_normal, normalizer, subgroup_conjugacy_classes)
+                       conjugate_into, is_normal, normalizer, subgroup_classes)
 
 
 @dataclass(frozen=True)
@@ -294,18 +294,16 @@ def replay_pronormality_failure(report: PronormalityReport, caps: Caps = DEFAULT
 def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> StrongPronormalityReport:
     """Strong pronormality of h in parent.
 
-    K runs over conjugacy-class representatives of subgroups of h (the
-    property is invariant under h-conjugacy of K), g over a right
-    transversal of N_parent(K); the first failing pair in this canonical
-    order is reported.
+    K runs over the subgroup_classes reps of h (the property is invariant
+    under h-conjugacy of K), g over a right transversal of N_parent(K); the
+    first failing pair in this order is reported, with K re-taken from
+    all_subgroups(h) so that certificates keep its generators.
     """
     h = _as_group(h)
     subgroup_check(parent, h)
     h_set = h.element_set(caps)
-    subs = all_subgroups(h, caps=caps)
-    classes = subgroup_conjugacy_classes(h, [s.group for s in subs], caps)
     checked = 0
-    for k, _size in sorted(classes, key=lambda c: (c[0].order(), tuple(c[0].elements()))):
+    for k, _size in subgroup_classes(h, caps=caps):
         if k.order() == 1:
             continue
         norm = _normalizer(parent, k, caps)
@@ -321,6 +319,8 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
             # joint <= parent, which right_transversal just enumerated
             witness = conjugate_into(joint, PermGroup(h.degree, kg_gens), h, caps)
             if witness is None:
+                k = next(s.group for s in all_subgroups(h, caps=caps)
+                         if s.group.element_set(caps) == k.element_set(caps))
                 failure = StrongPronormalityFailure(k=k, g=g, joint=joint,
                                                     scanned=joint.order())
                 return StrongPronormalityReport(h, parent, False, failure=failure,

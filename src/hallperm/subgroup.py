@@ -16,7 +16,7 @@ from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, NumberClosure, PermGroup, Permutation, combine_blockwise,
                     decompose_blockwise, group_from_elements, inflate, orbit, pick_generators,
                     right_transversal, subgroup_check, trivial_group)
-from .numth import is_p_power, is_prime, p_part
+from .numth import is_p_power, is_prime, p_part, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,26 @@ def join_lattice(index: ElementIndex, seeds, order_divides=None):
             for key in sorted(found, key=_set_sort_key)]
 
 
+def _cyclic_seeds(parent: PermGroup, order_divides, caps: Caps):
+    """parent's ElementIndex and its cyclic subgroups whose order divides
+    order_divides, numbers -> (generator,); CapExceeded past subgroup_cap."""
+    n = parent.order()
+    if n > caps.subgroup_cap:
+        raise CapExceeded("subgroup_cap", caps.subgroup_cap, n)
+    index = ElementIndex(parent, caps)
+    cyclics = {}
+    for i, e in enumerate(index.elements[1:], 1):
+        if order_divides is not None and order_divides % e.order() != 0:
+            continue
+        powers = {0}
+        x = i
+        while x:
+            powers.add(x)
+            x = index.mul(x, i)
+        cyclics.setdefault(frozenset(powers), (e,))
+    return index, cyclics
+
+
 def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
     """Every subgroup, optionally only those whose order divides a target.
 
@@ -223,25 +243,48 @@ def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CA
     same argument runs inside any subgroup of admissible order, so pruning
     joins that leave the divisor set loses nothing.
     """
-    n = parent.order()
-    if n > caps.subgroup_cap:
-        raise CapExceeded("subgroup_cap", caps.subgroup_cap, n)
     cache_key = ("all_subgroups", order_divides)
     cached = parent._cache.get(cache_key)
     if cached is None:
-        index = ElementIndex(parent, caps)
-        cyclics = {}
-        for i, e in enumerate(index.elements[1:], 1):
-            if order_divides is not None and order_divides % e.order() != 0:
-                continue
-            powers = {0}
-            x = i
-            while x:
-                powers.add(x)
-                x = index.mul(x, i)
-            cyclics.setdefault(frozenset(powers), (e,))
+        index, cyclics = _cyclic_seeds(parent, order_divides, caps)
         cached = parent._cache[cache_key] = join_lattice(index, cyclics, order_divides)
     return [Subgroup(parent, g) for g in cached]
+
+
+def subgroup_classes(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
+    """(rep, class size) per conjugacy class of subgroups, sorted by rep.
+
+    all_subgroups' cyclic extension, run on one member M per class:
+    <M^x, C> = <M, C^(x^-1)>^x with C^(x^-1) again a cyclic seed, so joining
+    M with every seed reaches every class.  Seeds of prime-power order
+    suffice, since each element is a product of powers of itself of
+    prime-power order.  A new join enters with its whole conjugation orbit,
+    taken on numbers (x^s = (x^-1 s)^-1 s); the rep has the orbit's least
+    element set.  Same filter and cap as all_subgroups; nothing is cached.
+    """
+    index, cyclics = _cyclic_seeds(parent, order_divides, caps)
+    mul, inv, whole = index.mul, index.numbers(~e for e in index.elements), len(index.elements)
+    seeds = [index.number[e] for e, in cyclics.values() if len(prime_divisors(e.order())) == 1]
+    found, explored = set(), []
+
+    def enter(key, gens):
+        keys = orbit([key], index.generators,
+                     lambda k, s: frozenset(mul(inv[mul(inv[x], s)], s) for x in k))
+        found.update(keys)
+        explored.append((key, gens, min(keys, key=_set_sort_key), len(keys)))
+
+    enter(frozenset([0]), [])
+    if order_divides is None and whole > 1:
+        enter(frozenset(range(whole)), index.generators)    # past |G|/2 a join is G
+    for key, gens, _, _ in explored:
+        for c in seeds:
+            joined = None if c in key else index.join(key, gens + [c], order_divides or whole // 2)
+            # without a filter, every join divides |G|
+            if joined and not (order_divides or whole) % len(joined) and joined not in found:
+                enter(frozenset(joined), gens + [c])
+    explored.sort(key=lambda entry: _set_sort_key(entry[2]))
+    return [(group_from_elements(parent.degree, [index.elements[i] for i in rep]), size)
+            for _, _, rep, size in explored]
 
 
 def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_CAPS):

@@ -118,3 +118,22 @@ def chain_picked_generators(degree, elements):
             chain.add_generator(e)
             picked.append(e)
     return picked
+
+
+def subgroup_classes_oracle(group):
+    """(element set, class size) of every subgroup class, in rep order: the
+    whole lattice from all_subgroups, partitioned by subgroup_conjugacy_classes."""
+    from hallperm.subgroup import all_subgroups, subgroup_conjugacy_classes
+    classes = subgroup_conjugacy_classes(group, [s.group for s in all_subgroups(group)])
+    return [(rep.element_set(), size) for rep, size in classes]
+
+
+def maximal_subgroup_reps_oracle(group):
+    """Element sets of one rep per class of maximal subgroups: the proper
+    subgroups that no other proper subgroup strictly contains."""
+    from hallperm.subgroup import all_subgroups, subgroup_conjugacy_classes
+    order = group.order()
+    keys = [(s.group.element_set(), s.group) for s in all_subgroups(group)
+            if s.order() < order]
+    maximal = [g for key, g in keys if not any(key < other for other, _ in keys)]
+    return [rep.element_set() for rep, _ in subgroup_conjugacy_classes(group, maximal)]

@@ -285,6 +285,10 @@ def _hall_classes(extra_conjugate):
     return cert, None
 
 
+def _no_hall_classes(pi):
+    return certs.hall_classes_certificate(alternating(5), pi, []), None
+
+
 _FORGERIES = {
     "tower sym:3 genuine": ("sylow-tower", lambda: _s3_tower([2, 3], True), True),
     "tower sym:3 complexion misses 3": ("sylow-tower", lambda: _s3_tower([2], False), False),
@@ -311,6 +315,9 @@ _FORGERIES = {
         "9", _sym5_non_strong(), symmetric(4)), False),
     "hall-classes sym:3 genuine": ("hall-classes", lambda: _hall_classes(False), True),
     "hall-classes sym:3 extra conjugate": ("hall-classes", lambda: _hall_classes(True), False),
+    "hall-classes alt:5 {3,5} none": ("hall-classes", lambda: _no_hall_classes({3, 5}), True),
+    "hall-classes alt:5 {2,3} none claimed": ("hall-classes", lambda: _no_hall_classes({2, 3}),
+                                              False),
 }
 
 

@@ -24,6 +24,18 @@ def test_analyze_sym5_full_primes(tmp_path):
     assert "class 1: order 120" in out.stdout
 
 
+def test_analyze_without_hall_subgroups_certifies_none(tmp_path):
+    out = run_cli("analyze", "--group", "alt:5", "--pi", "3,5", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert "E_pi: false" in out.stdout
+    (cert_path,) = tmp_path.glob("*.json")
+    cert = json.loads(cert_path.read_text())
+    assert (cert["kind"], cert["payload"]["class_count"]) == ("hall-classes", 0)
+    out = run_cli("verify", str(cert_path))
+    assert out.returncode == 0, out.stdout
+    assert out.stdout.startswith("OK")
+
+
 def test_analyze_rejects_composite_pi(tmp_path):
     out = run_cli("analyze", "--group", "sym:5", "--pi", "4", "--out", str(tmp_path))
     assert out.returncode == 2
