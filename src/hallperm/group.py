@@ -4,6 +4,10 @@ The chain is built by the deterministic Schreier-Sims algorithm: every
 Schreier generator of every level is sifted exactly once, in a fixed order,
 so orders, transversals, element streams and witnesses are reproducible bit
 for bit.  No randomization is used anywhere.
+
+Each level holds its transversal elements u and, filled in the same order,
+their inverses u^-1, and each strong generator is stored with its inverse, so
+sifting and forming Schreier generators multiply but never invert.
 """
 
 from __future__ import annotations
@@ -18,13 +22,16 @@ from .perm import Permutation
 
 
 class _Level:
-    __slots__ = ("beta", "own_gens", "transversal")
+    __slots__ = ("beta", "own_gens", "transversal", "inverse")
 
     def __init__(self, beta, identity):
         self.beta = beta
+        # (g, g^-1) for each strong generator first moving beta
         self.own_gens = []
         # point -> u with u[beta] = point; insertion order is the BFS order
         self.transversal = {beta: identity}
+        # point -> u^-1, in the same order
+        self.inverse = {beta: identity}
 
 
 class StabilizerChain:
@@ -59,7 +66,7 @@ class StabilizerChain:
         return math.prod(len(lvl.transversal) for lvl in self.levels)
 
     def strong_generators(self):
-        return [g for lvl in self.levels for g in lvl.own_gens]
+        return [g for lvl in self.levels for g, _ in lvl.own_gens]
 
     def sift(self, p: Permutation, start: int = 0) -> Permutation:
         """Strip p through the chain; identity result means membership."""
@@ -67,10 +74,10 @@ class StabilizerChain:
             delta = p[lvl.beta]
             if delta == lvl.beta:
                 continue
-            u = lvl.transversal.get(delta)
-            if u is None:
+            u_inv = lvl.inverse.get(delta)
+            if u_inv is None:
                 return p
-            p = p * ~u
+            p = p * u_inv
         return p
 
     def contains(self, p: Permutation) -> bool:
@@ -95,7 +102,8 @@ class StabilizerChain:
             self._drain()
 
     def _suffix_gens(self, i):
-        return [g for lvl in self.levels[i:] for g in lvl.own_gens]
+        """(g, g^-1) for the strong generators of level i."""
+        return [pair for lvl in self.levels[i:] for pair in lvl.own_gens]
 
     def _install(self, g: Permutation):
         i = 0
@@ -104,61 +112,77 @@ class StabilizerChain:
         if i == len(self.levels):
             self.levels.append(_Level(g.min_moved(), self._identity))
         lvl = self.levels[i]
-        lvl.own_gens.append(g)
+        # each install strictly enlarges the group at its level, and subgroup
+        # chains in Sym(n) have fewer than 3n/2 steps (Cameron, Solomon and
+        # Turull, 1989): more means corrupt transversals, which would loop
+        if len(lvl.own_gens) >= 2 * self.degree:
+            raise GroupError(f"level {i} outgrew every subgroup chain of Sym({self.degree})")
+        g_inv = ~g
+        lvl.own_gens.append((g, g_inv))
         # Schreier pairs of g at every level it now generates, then grow the
         # orbits it may have unlocked.
         for k in range(i + 1):
             for pt in list(self.levels[k].transversal):
                 self._queue.append((k, pt, g))
         for k in range(i + 1):
-            self._extend_orbit(k, g)
+            self._extend_orbit(k, g, g_inv)
 
-    def _extend_orbit(self, k, new_gen):
+    def _extend_orbit(self, k, new_gen, new_inv):
         lvl = self.levels[k]
-        transversal = lvl.transversal
+        transversal, inverse = lvl.transversal, lvl.inverse
         gens = self._suffix_gens(k)
         frontier = deque()
         for pt in list(transversal):
             img = new_gen[pt]
             if img not in transversal:
                 transversal[img] = transversal[pt] * new_gen
+                inverse[img] = new_inv * inverse[pt]
                 frontier.append(img)
-                for s in gens:
+                for s, _ in gens:
                     self._queue.append((k, img, s))
         while frontier:
             pt = frontier.popleft()
-            for s in gens:
+            for s, s_inv in gens:
                 img = s[pt]
                 if img not in transversal:
                     transversal[img] = transversal[pt] * s
+                    inverse[img] = s_inv * inverse[pt]
                     frontier.append(img)
-                    for s2 in gens:
+                    for s2, _ in gens:
                         self._queue.append((k, img, s2))
 
     def _drain(self):
         while self._queue:
             k, pt, s = self._queue.popleft()
             lvl = self.levels[k]
-            u = lvl.transversal[pt]
-            u2 = lvl.transversal[s[pt]]
-            schreier = u * s * ~u2
-            if schreier.is_identity:
+            # the Schreier generator u s u'^-1, u' the transversal element of s[pt]
+            img = s[pt]
+            us = lvl.transversal[pt] * s
+            if us == lvl.transversal[img]:
                 continue
-            residue = self.sift(schreier, start=k + 1)
+            residue = self.sift(us * lvl.inverse[img], start=k + 1)
             if not residue.is_identity:
                 self._install(residue)
 
     def check_invariants(self):
-        """Sift every strong generator and recompute every basic orbit."""
+        """Sift every strong generator, recompute every basic orbit and check
+        every stored inverse."""
         for g in self.strong_generators():
             if not self.sift(g).is_identity:
                 raise GroupError("strong generator fails to sift")
         for i, lvl in enumerate(self.levels):
-            if orbit([lvl.beta], self._suffix_gens(i), _image) != set(lvl.transversal):
+            pairs = self._suffix_gens(i)
+            if orbit([lvl.beta], [s for s, _ in pairs], _image) != set(lvl.transversal):
                 raise GroupError(f"basic orbit mismatch at level {i}")
+            if not all((s * s_inv).is_identity for s, s_inv in pairs):
+                raise GroupError(f"strong generator inverse mismatch at level {i}")
+            if list(lvl.inverse) != list(lvl.transversal):
+                raise GroupError(f"inverse keys differ from transversal keys at level {i}")
             for pt, u in lvl.transversal.items():
                 if u[lvl.beta] != pt:
                     raise GroupError(f"transversal element mismatch at level {i}")
+                if not (u * lvl.inverse[pt]).is_identity:
+                    raise GroupError(f"stored inverse mismatch at level {i}")
 
 
 @dataclass(frozen=True)

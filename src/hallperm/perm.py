@@ -3,6 +3,10 @@
 Composition is left to right: (p * q)(x) = q(p(x)).  Exponent notation then
 reads the usual way, x^(pq) = (x^p)^q, and conjugation is h^g = g^-1 * h * g.
 Points are 0-based throughout.
+
+A product is formed in C: itemgetter(*p) applied to q gives the tuple
+(q[p[0]], q[p[1]], ...), wrapped by tuple.__new__ without the permutation
+check.  Degrees 0 and 1 take their own branch, where the product is q.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from operator import itemgetter
 
 from .errors import DegreeMismatch
 
@@ -81,9 +86,14 @@ class Permutation(tuple):
         return self == _identity_images(len(self))
 
     def __mul__(self, other):
-        if len(self) != len(other):
-            raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
-        return Permutation(map(other.__getitem__, self), check=False)
+        n = len(self)
+        if n != len(other):
+            raise DegreeMismatch(f"degree {n} vs {len(other)}")
+        if n < 2:
+            # itemgetter() raises and itemgetter(i) returns a scalar; the only
+            # permutation of degree 0 or 1 is the identity
+            return tuple.__new__(Permutation, other)
+        return tuple.__new__(Permutation, itemgetter(*self)(other))
 
     def __invert__(self) -> "Permutation":
         inv = [0] * len(self)

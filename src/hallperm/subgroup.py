@@ -188,9 +188,13 @@ def join_lattice(index: ElementIndex, seeds, order_divides=None):
     subgroup to its generators.  Starting from the trivial group and the
     seeds, every subgroup found is joined with each seed not yet inside it
     until nothing new appears.  With order_divides, joins whose order does
-    not divide it are dropped.  Number sets sort like the element sets they
-    stand for, because numbering follows the canonical order.
+    not divide it are dropped; without it, a join that passes half the group
+    is the whole group (Lagrange), filed under the generators of the join
+    that reached it.  Number sets sort like the element sets they stand
+    for, because numbering follows the canonical order.
     """
+    whole = len(index.elements)
+    limit = whole // 2 if order_divides is None else order_divides
     seed_items = [(skey, sgens, index.numbers(sgens))
                   for skey, sgens in sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))]
     found = {frozenset([0]): (), **seeds}
@@ -202,7 +206,9 @@ def join_lattice(index: ElementIndex, seeds, order_divides=None):
         for skey, sgens, snumbers in seed_items:
             if all(g in key for g in snumbers):
                 continue
-            joined = index.join(key, numbers + snumbers, order_divides)
+            joined = index.join(key, numbers + snumbers, limit)
+            if joined is None and order_divides is None:
+                joined = range(whole)
             if joined is None or (order_divides is not None and order_divides % len(joined)):
                 continue
             jkey = frozenset(joined)

@@ -97,3 +97,40 @@ def test_conj_via_products(h, g):
 @given(perms6, perms6, perms6)
 def test_conj_is_a_right_action(h, g1, g2):
     assert h.conj(g1 * g2) == h.conj(g1).conj(g2)
+
+
+def test_products_at_degrees_0_1_and_2():
+    empty = Permutation(())
+    assert empty * empty == empty
+    assert type(empty * empty) is Permutation and (empty * empty).degree == 0
+    one = Permutation((0,))
+    assert one * one == one
+    assert type(one * one) is Permutation and (one * one).is_identity
+    e, t = Permutation((0, 1)), Permutation((1, 0))
+    assert t * t == e
+    assert t * e == e * t == t
+    assert type(t * e) is Permutation
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 2), (2, 3), (5, 6)])
+def test_products_reject_degree_mismatch_in_both_orders(n, m):
+    p, q = Permutation.identity(n), Permutation.identity(m)
+    with pytest.raises(DegreeMismatch):
+        p * q
+    with pytest.raises(DegreeMismatch):
+        q * p
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    p, q = (draw(st.permutations(range(n))) for _ in range(2))
+    return Permutation(p), Permutation(q)
+
+
+@given(perm_pairs())
+def test_product_matches_the_reference_definition(pair):
+    p, q = pair
+    product = p * q
+    assert type(product) is Permutation
+    assert product == Permutation([q[p[i]] for i in range(len(p))])
