@@ -13,6 +13,7 @@ sifting and forming Schreier generators multiply but never invert.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -202,7 +203,7 @@ class PermGroup:
     """Degree + generators with a lazily built stabilizer chain.
 
     Immutable once the chain is built; all queries afterwards are read-only.
-    order() and contains() answer from the element cache when it is filled.
+    order() and contains() answer from the element caches when they are filled.
     """
 
     def __init__(self, degree: int, generators=(), chain: Optional[StabilizerChain] = None,
@@ -244,9 +245,15 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if len(p) != self.degree:
             raise DegreeMismatch(f"degree {len(p)} element against degree-{self.degree} group")
-        if "elements" in self._cache:
-            return p in self.element_set()
-        return self.chain.contains(p)
+        known = self._cache.get("element_set")
+        if known is not None:
+            return p in known
+        elements = self._cache.get("elements")
+        if elements is None:
+            return self.chain.contains(p)
+        # the sorted list answers a few lookups without building the set
+        i = bisect_left(elements, p)
+        return i < len(elements) and elements[i] == p
 
     def contains_group(self, other: "PermGroup") -> bool:
         return all(self.contains(g) for g in other.generators)

@@ -13,15 +13,18 @@ dropped.
 One function, _decide_coset, decides an instance (H, g) with joint
 J = <H, H^g> for is_pronormal (g over the transversal) and
 pronormality_instance (one g): some x in J has H^x = H^g exactly when J
-meets N_G(H)*g, and as H <= J, testing n*g in J for n over a right
-transversal of H in N_G(H), identity first, decides it.  is_pronormal
-closes J on the element numbers of G and tests by lookup;
-pronormality_instance sifts into J's chain, and g alone when N_G(H) is
-beyond enumeration.  A miss falls through to the exhaustive scan of J (or
-of its blocks), which confirms the negative and supplies the certificate
-data; a scan that finds a conjugator after a full coset miss raises
-GroupError.  Strong pronormality tests g in <H, K^g> the same way (x = g^-1
-gives K^(gx) = K <= H); negatives keep the scan.
+meets N_G(H)*g, that is when the coset N_G(H)*g lies in the orbit of the
+coset N_G(H) under J acting on right cosets by right multiplication.  On an
+enumerable G, _joint_meets_coset grows that orbit on the cached right-coset
+table with J's generators, building neither J nor a chain, and only a miss
+closes J on the element numbers of G; beyond enumeration, g is sifted into
+J's chain.  A miss falls through to the exhaustive scan of J (or of its
+blocks), which confirms the negative and supplies the certificate data; a
+scan that finds a conjugator after an orbit miss raises GroupError.
+
+Strong pronormality asks the same orbit question on the right cosets of
+N_G(K): some x in <H, K^g> has K^(gx) <= H exactly when the orbit of
+N_G(K)*g meets S_K = {N_G(K)*y : K^y <= H}, computed once per K.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure,
                     decompose_blockwise, inflate, intersect_groups, normal_closure,
-                    right_transversal, subgroup_check)
+                    right_cosets, right_transversal, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
                        conjugate_into, is_normal, normalizer, subgroup_classes)
@@ -136,18 +139,32 @@ def _decide_in_joint(joint: PermGroup, h: PermGroup, hg: PermGroup, caps: Caps):
     return "capped", f"joint of order {joint.order()} admits neither exhaustive nor blockwise search"
 
 
-def _joint_meets_coset(joint: PermGroup, h: PermGroup, norm: Optional[PermGroup],
-                       g: Permutation, caps: Caps) -> bool:
-    """True iff joint meets the coset norm*g (norm = N_G(h)); g alone when norm is None.
+def _joint_meets_coset(parent: PermGroup, norm: PermGroup, gens, g: Permutation,
+                       targets, caps: Caps) -> bool:
+    """True iff some x in <gens> has norm*g*x among the cosets numbered targets.
 
-    The caller guarantees h <= joint, so one membership test per coset h*n
-    decides it, n over right_transversal(norm, h).  That transversal starts
-    with the identity, so g is tested first, and it is only built when g misses.
+    Cosets are numbered as in right_cosets(parent, norm), whose table is
+    cached on parent.  The orbit of norm*g under right multiplication by
+    <gens> is grown breadth first and stops at the first coset in targets.
+    With targets {0}, the coset norm itself, this says that <gens> meets
+    norm*g, as x lies in g^-1*norm exactly when x^-1 lies in norm*g.
     """
-    if joint.contains(g):
+    reps, lookup = right_cosets(parent, norm, caps)
+    start = lookup[g]
+    if start in targets:
         return True
-    return norm is not None and any(joint.contains(n * g)
-                                    for n in right_transversal(norm, h, caps)[1:])
+    seen = {start}
+    frontier = [start]
+    for c in frontier:
+        r = reps[c]
+        for x in gens:
+            d = lookup[r * x]
+            if d not in seen:
+                if d in targets:
+                    return True
+                seen.add(d)
+                frontier.append(d)
+    return False
 
 
 def _joint_of(h: PermGroup, conj_gens, blocks, index=None) -> PermGroup:
@@ -165,15 +182,23 @@ def _joint_of(h: PermGroup, conj_gens, blocks, index=None) -> PermGroup:
 
 
 def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
-                  norm: Optional[PermGroup], caps: Caps, index=None) -> PronormalityReport:
+                  norm: Optional[PermGroup], caps: Caps) -> PronormalityReport:
     """Decide the instance (h, g) for both testers; conj_gens are h's generators ^ g.
 
-    Tests the coset norm*g (g alone when norm is None) for membership in the
-    joint and scans the joint only on a miss.  The report counts one coset.
+    With norm = N_parent(h), runs the orbit test on its right cosets and, on
+    a miss only, closes the joint on parent's element numbers.  With norm
+    None (parent beyond enumeration), builds the joint's chain and sifts g.
+    The joint is scanned only on a miss.  The report counts one coset.
     """
-    joint = _joint_of(h, conj_gens, parent.factors and parent.factors.blocks, index)
-    if _joint_meets_coset(joint, h, norm, g, caps):
+    blocks = parent.factors and parent.factors.blocks
+    if norm is None:
+        joint = _joint_of(h, conj_gens, blocks)
+        if joint.contains(g):
+            return PronormalityReport(h, parent, True, checked_coset_count=1)
+    elif _joint_meets_coset(parent, norm, h.generators + tuple(conj_gens), g, {0}, caps):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
+    else:
+        joint = _joint_of(h, conj_gens, blocks, ElementIndex(parent, caps))
     status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
     if status == "found":
         if norm is not None:
@@ -250,11 +275,10 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
 
     norm = _normalizer(parent, h, caps)
-    index = ElementIndex(parent, caps)
     checked = 0
     for t in right_transversal(parent, norm, caps)[1:]:
         checked += 1
-        report = _decide_coset(parent, h, t, [x.conj(t) for x in h.generators], norm, caps, index)
+        report = _decide_coset(parent, h, t, [x.conj(t) for x in h.generators], norm, caps)
         if report.verdict is not True:
             return replace(report, checked_coset_count=checked)
     return PronormalityReport(h, parent, True, checked_coset_count=checked)
@@ -297,7 +321,9 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
     K runs over the subgroup_classes reps of h (the property is invariant
     under h-conjugacy of K), g over a right transversal of N_parent(K); the
     first failing pair in this order is reported, with K re-taken from
-    all_subgroups(h) so that certificates keep its generators.
+    all_subgroups(h) so that certificates keep its generators.  A pair
+    passes when the orbit of N(K)*g under <h, K^g> meets the cosets N(K)*y
+    with K^y <= h; only a pair that fails builds the joint and scans it.
     """
     h = _as_group(h)
     subgroup_check(parent, h)
@@ -307,24 +333,23 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
         if k.order() == 1:
             continue
         norm = _normalizer(parent, k, caps)
-        index = ElementIndex(parent, caps)
-        for g in right_transversal(parent, norm, caps):
-            kg_gens = tuple(x.conj(g) for x in k.generators)
+        reps = right_transversal(parent, norm, caps)
+        conj_gens = [tuple(x.conj(y) for x in k.generators) for y in reps]
+        into_h = {c for c, kg_gens in enumerate(conj_gens) if all(x in h_set for x in kg_gens)}
+        for g, kg_gens in zip(reps, conj_gens):
             checked += 1
-            if all(x in h_set for x in kg_gens):
+            if _joint_meets_coset(parent, norm, h.generators + kg_gens, g, into_h, caps):
                 continue
-            joint = _joint_of(h, kg_gens, None, index)
-            if joint.contains(g):
-                continue
+            joint = _joint_of(h, kg_gens, None, ElementIndex(parent, caps))
             # joint <= parent, which right_transversal just enumerated
-            witness = conjugate_into(joint, PermGroup(h.degree, kg_gens), h, caps)
-            if witness is None:
-                k = next(s.group for s in all_subgroups(h, caps=caps)
-                         if s.group.element_set(caps) == k.element_set(caps))
-                failure = StrongPronormalityFailure(k=k, g=g, joint=joint,
-                                                    scanned=joint.order())
-                return StrongPronormalityReport(h, parent, False, failure=failure,
-                                                checked_pair_count=checked)
+            if conjugate_into(joint, PermGroup(h.degree, kg_gens), h, caps) is not None:
+                raise GroupError("the joint scan found a conjugator into the subject although "
+                                 "the orbit misses it (library bug)")
+            k = next(s.group for s in all_subgroups(h, caps=caps)
+                     if s.group.element_set(caps) == k.element_set(caps))
+            failure = StrongPronormalityFailure(k=k, g=g, joint=joint, scanned=joint.order())
+            return StrongPronormalityReport(h, parent, False, failure=failure,
+                                            checked_pair_count=checked)
     return StrongPronormalityReport(h, parent, True, checked_pair_count=checked)
 
 

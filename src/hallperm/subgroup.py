@@ -93,18 +93,29 @@ def normalizer(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     return Subgroup(parent, _normalizer(parent, sub, caps))
 
 
+_WHOLE = "whole"
+
+
 def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """N_parent(sub) for a sub the caller has already checked to lie in parent."""
+    """N_parent(sub) for a sub the caller has already checked to lie in parent.
+
+    A normalizer that is all of parent is parent itself, so that the caches
+    keyed on parent serve it; its cache entry is the marker _WHOLE, since
+    parent in its own cache would be a reference cycle.
+    """
     cache_key = ("normalizer", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:
-        return cached
+        return parent if cached is _WHOLE else cached
 
     if parent.order() <= caps.enum_cap:
         sub_set = sub.element_set(caps)
         gens = sub.generators
-        members = [g for g in parent.elements(caps)
-                   if all(h.conj(g) in sub_set for h in gens)]
+        elements = parent.elements(caps)
+        members = [g for g in elements if all(h.conj(g) in sub_set for h in gens)]
+        if len(members) == len(elements):
+            parent._cache[cache_key] = _WHOLE
+            return parent
         result = group_from_elements(parent.degree, members)
     else:
         result = _normalizer_blockwise(parent, sub, caps)

@@ -166,3 +166,12 @@ def test_generator_file_rejects_bad_header():
         parse_generator_text("degree -1\n")
     with pytest.raises(ValueError):
         parse_generator_text("# only comments\n")
+
+
+def test_contains_reads_the_sorted_elements_without_building_their_set():
+    c3 = PermGroup(5, [perm("(0 1 2)", 5)])
+    elements = c3.elements()
+    assert all(c3.contains(e) for e in elements)
+    assert not c3.contains(perm("(0 1)", 5))
+    assert not c3.contains(perm("(0 4)(1 3)", 5))     # beyond the greatest element
+    assert "element_set" not in c3._cache

@@ -249,7 +249,7 @@ def test_coset_decision_agrees_with_joint_scan(subjects):
             conj_gens = [x.conj(t) for x in h.generators]
             joint = _joint_of(h, conj_gens, blocks)
             hg = PermGroup(h.degree, conj_gens)
-            meets = _joint_meets_coset(joint, h, norm, t, DEFAULT_CAPS)
+            meets = _joint_meets_coset(group, norm, joint.generators, t, {0}, DEFAULT_CAPS)
             status, _ = _decide_in_joint(joint, h, hg, DEFAULT_CAPS)
             assert meets == (status == "found"), (name, h.order(), t)
             if not meets:
@@ -297,3 +297,103 @@ def test_scan_contradicting_a_coset_miss_is_an_error(monkeypatch, sym5):
         is_pronormal(sym5, h)
     with pytest.raises(GroupError, match="library bug"):
         pronormality_instance(sym5, h, perm("(0 4)", 5))
+
+
+# -- the orbit test on the normalizer's right cosets ------------------------
+
+
+@pytest.fixture(scope="module")
+def class_reps():
+    """(name, G, H) for every subgroup_classes rep of each catalog group of
+    order <= 60 and of alt:6, pronormal or not."""
+    from hallperm.catalog import build_catalog, parse_group_spec
+    from hallperm.subgroup import subgroup_classes
+    groups = [(e.name, e.group) for e in build_catalog(60)]
+    groups.append(("alt:6", parse_group_spec("alt:6")))
+    return [(name, group, rep) for name, group in groups for rep, _ in subgroup_classes(group)]
+
+
+def test_orbit_test_agrees_with_joint_scan_on_class_reps(class_reps):
+    from hallperm.errors import DEFAULT_CAPS
+    from hallperm.group import right_transversal
+    from hallperm.pronormal import _decide_in_joint, _joint_meets_coset, _joint_of
+    from hallperm.subgroup import normalizer
+    positives = negatives = 0
+    for name, group, h in class_reps:
+        norm = normalizer(group, h).group
+        blocks = group.factors and group.factors.blocks
+        for t in right_transversal(group, norm)[1:]:
+            conj_gens = [x.conj(t) for x in h.generators]
+            joint = _joint_of(h, conj_gens, blocks)
+            meets = _joint_meets_coset(group, norm, joint.generators, t, {0}, DEFAULT_CAPS)
+            status, _ = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), DEFAULT_CAPS)
+            assert meets == (status == "found"), (name, h.order(), t)
+            positives += meets
+            negatives += not meets
+    assert (len(class_reps), positives, negatives) == (370, 758, 86)
+
+
+def test_orbit_test_agrees_with_conjugate_into_on_strong_pairs(class_reps):
+    # the pair (K, g) passes when the orbit of N_G(K)g under <H, K^g> meets
+    # S_K = {N_G(K)y : K^y <= H}; conjugate_into scans the joint instead
+    from hallperm.errors import DEFAULT_CAPS
+    from hallperm.group import right_transversal
+    from hallperm.pronormal import _joint_meets_coset
+    from hallperm.subgroup import conjugate_into, normalizer, subgroup_classes
+    positives = negatives = 0
+    for name, group, h in class_reps:
+        if h.order() in (1, group.order()):
+            continue            # K = 1 only, or every K^g lies in H
+        h_set = h.element_set()
+        for k, _ in subgroup_classes(h):
+            if k.order() == 1:
+                continue
+            norm = normalizer(group, k).group
+            reps = right_transversal(group, norm)
+            conj_gens = [tuple(x.conj(y) for x in k.generators) for y in reps]
+            into_h = {c for c, kg in enumerate(conj_gens) if all(x in h_set for x in kg)}
+            for c, (g, kg) in enumerate(zip(reps, conj_gens)):
+                if c in into_h:
+                    continue
+                meets = _joint_meets_coset(group, norm, h.generators + kg, g, into_h,
+                                           DEFAULT_CAPS)
+                joint = PermGroup(h.degree, h.generators + kg)
+                found = conjugate_into(joint, PermGroup(h.degree, kg), h) is not None
+                assert meets == found, (name, h.order(), k.order(), g)
+                positives += meets
+                negatives += not meets
+    assert (positives, negatives) == (3484, 203)
+
+
+@pytest.mark.parametrize("spec", ["psl2:16", "alt:6"])
+def test_positive_instance_builds_no_chain_and_no_joint(monkeypatch, spec):
+    # a deterministic guard on the work a positive verdict does, not a timing
+    from hallperm.catalog import parse_group_spec
+    from hallperm.group import ElementIndex, StabilizerChain, right_transversal
+    from hallperm.subgroup import normalizer
+    group = parse_group_spec(spec)
+    h = sylow(group, 2).group
+    g = right_transversal(group, normalizer(group, h).group)[1]
+    calls = []
+    build, join = StabilizerChain.build.__func__, ElementIndex.join
+    monkeypatch.setattr(StabilizerChain, "build",
+                        classmethod(lambda cls, *args: calls.append("build") or build(cls, *args)))
+    monkeypatch.setattr(ElementIndex, "join",
+                        lambda self, *args: calls.append("join") or join(self, *args))
+    assert pronormality_instance(group, h, g).verdict is True
+    assert is_pronormal(group, h).verdict is True
+    assert calls == []
+    # the counters see a negative instance close its joint, and a cold
+    # group build its chain
+    assert pronormality_instance(symmetric(4), PermGroup(4, [perm("(0 1)", 4)]),
+                                 perm("(0 2)(1 3)", 4)).verdict is False
+    assert "build" in calls and "join" in calls
+
+
+def test_strong_scan_contradicting_an_orbit_miss_is_an_error(monkeypatch, sym5):
+    # Sylow subgroups are strongly pronormal, so every forced miss is contradicted
+    from hallperm import pronormal
+    from hallperm.errors import GroupError
+    monkeypatch.setattr(pronormal, "_joint_meets_coset", lambda *args: False)
+    with pytest.raises(GroupError, match="library bug"):
+        is_strongly_pronormal(sym5, sylow(sym5, 2).group)

@@ -42,6 +42,16 @@ def test_normalizer_degenerate(sym5):
     assert normalizer(sym5, trivial_group(5)).order() == 120
 
 
+def test_whole_normalizer_is_the_parent_itself():
+    # caches keyed on the parent then serve it; its cache holds a marker,
+    # as the parent in its own cache would be a reference cycle
+    s4 = symmetric(4)
+    a4 = alternating(4)
+    assert normalizer(s4, a4).group is s4
+    assert normalizer(s4, a4).group is s4
+    assert all(value is not s4 for value in s4._cache.values())
+
+
 def test_sylow_orders(sym5, sl216):
     assert sylow(sym5, 2).order() == 8
     assert sylow(sym5, 3).order() == 3
