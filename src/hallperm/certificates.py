@@ -241,10 +241,14 @@ def _verify_conjugacy_witness(cert, caps):
 def _verify_non_pronormality(cert, caps):
     group = rebuild_group(cert["group"])
     payload = cert["payload"]
+    joint = payload["joint"]
+    if cert["transcript"].get("scanned") != joint.get("scanned"):
+        return False, "the transcript and the joint record different scan counts"
     return replay_non_pronormality(group, rebuild_group(payload["subject"]),
                                    perm_from_payload(payload["witness_g"], group.degree),
-                                   payload["joint"]["order"], payload["joint"].get("blocks"),
-                                   caps)
+                                   joint["order"], joint.get("blocks"), caps,
+                                   (joint.get("mode"), joint.get("scanned"),
+                                    joint.get("failing_block")))
 
 
 def _verify_non_strong_pronormality(cert, caps):

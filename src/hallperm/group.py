@@ -57,6 +57,36 @@ class StabilizerChain:
             chain.add_generator(g)
         return chain
 
+    @classmethod
+    def direct_product(cls, degree: int, blocks, chains) -> "StabilizerChain":
+        """The chain of the direct product of groups on the disjoint blocks.
+
+        chains[i] is a chain on 0..len(blocks[i])-1; its base points,
+        transversals, stored inverses and (g, g^-1) strong generator pairs
+        are inflated onto blocks[i], level by level.  A base and strong
+        generating set of a direct product is the union of the factors'
+        (Seress, Permutation Group Algorithms, 2003, ch. 4-5): the levels of
+        later blocks fix the earlier blocks pointwise, so each strong
+        generator still sits at the first level whose base point it moves
+        and every basic orbit is the factor's.  No Schreier-Sims is run.
+        """
+        chain = cls(degree)
+        fixed = list(range(degree))
+        for block, part in zip(blocks, chains):
+            def up(p):
+                # inflate(p, block, degree)
+                images = fixed.copy()
+                for pt, q in zip(block, p):
+                    images[pt] = block[q]
+                return Permutation(images, check=False)
+            for lvl in part.levels:
+                new = _Level(block[lvl.beta], chain._identity)
+                new.own_gens = [(up(s), up(s_inv)) for s, s_inv in lvl.own_gens]
+                new.transversal = {block[pt]: up(u) for pt, u in lvl.transversal.items()}
+                new.inverse = {block[pt]: up(u) for pt, u in lvl.inverse.items()}
+                chain.levels.append(new)
+        return chain
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -682,12 +712,28 @@ def block_components(group: PermGroup, blocks):
             for block in blocks]
 
 
-def decompose_blockwise(group: PermGroup, blocks):
-    """Per-block components when the group is their direct product, else None."""
-    components = block_components(group, blocks)
-    if components is None:
-        return None
-    if math.prod(c.order() for c in components) != group.order():
+def is_partition(blocks, degree: int) -> bool:
+    """True iff the blocks are non-empty and partition the points 0..degree-1."""
+    return all(blocks) and sorted(pt for b in blocks for pt in b) == list(range(degree))
+
+
+def decompose_blockwise(group: PermGroup, blocks, order: Optional[int] = None):
+    """Per-block components when the group is their direct product, else None.
+
+    A group carrying shift-free factors over the same blocks gives those
+    instead of new projections.  The product of the components' orders is
+    compared with order, when the caller knows |group| (that of a subgroup
+    it conjugates, say), else with group.order().
+    """
+    factors = group.factors
+    if (factors is not None and factors.shift is None
+            and factors.blocks == tuple(tuple(b) for b in blocks)):
+        components = list(factors.factor_groups)
+    else:
+        components = block_components(group, blocks)
+        if components is None:
+            return None
+    if math.prod(c.order() for c in components) != (group.order() if order is None else order):
         return None
     return components
 
@@ -698,12 +744,52 @@ def attach_block_structure(group: PermGroup, blocks) -> Optional[PermGroup]:
     components = decompose_blockwise(group, blocks)
     if components is None:
         return None
+    return _with_factors(group, blocks, components, group._chain)
+
+
+def split_over(group: PermGroup, blocks, order: Optional[int] = None) -> Optional[PermGroup]:
+    """group with its DirectFactorStructure over the partition blocks, or None
+    unless it is the direct product of its components (order as in
+    decompose_blockwise).  A group without a chain gets one assembled from
+    the components' chains."""
+    if not is_partition(blocks, group.degree):
+        return None
+    components = decompose_blockwise(group, blocks, order)
+    if components is None:
+        return None
+    chain = group._chain or StabilizerChain.direct_product(
+        group.degree, blocks, [c.chain for c in components])
+    return _with_factors(group, blocks, components, chain)
+
+
+def _with_factors(group: PermGroup, blocks, components, chain) -> PermGroup:
+    """group with the given chain, its caches and the shift-free structure."""
     structure = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
-                                      factor_groups=tuple(components), shift=None)
-    structured = PermGroup(group.degree, group.generators, chain=group._chain,
+                                      factor_groups=tuple(components))
+    structured = PermGroup(group.degree, group.generators, chain=chain,
                            factors=structure, provenance=group.provenance)
     structured._cache.update(group._cache)
     return structured
+
+
+def split_join(a: PermGroup, b: PermGroup) -> PermGroup:
+    """<a, b> for a and b split over the same partition (both from split_over).
+
+    When A = prod A_i and B = prod B_i over the blocks, <A, B> is
+    prod <A_i, B_i>: it contains each inflated <A_i, B_i>, since A and B
+    contain the inflated A_i and B_i, and it lies in the product of its
+    projections.  The join carries that structure and a chain assembled from
+    the components' chains, so no Schreier-Sims runs on the whole degree.
+    """
+    blocks = a.factors.blocks
+    if b.factors.blocks != blocks:
+        raise GroupError("split_join needs two groups split over the same blocks")
+    components = tuple(PermGroup(len(block), x.generators + y.generators)
+                       for block, x, y in zip(blocks, a.factors.factor_groups,
+                                              b.factors.factor_groups))
+    chain = StabilizerChain.direct_product(a.degree, blocks, [c.chain for c in components])
+    return PermGroup(a.degree, a.generators + b.generators, chain=chain,
+                     factors=DirectFactorStructure(blocks, components))
 
 
 def combine_blockwise(parts, blocks, degree: int) -> Permutation:

@@ -22,6 +22,15 @@ J's chain.  A miss falls through to the exhaustive scan of J (or of its
 blocks), which confirms the negative and supplies the certificate data; a
 scan that finds a conjugator after an orbit miss raises GroupError.
 
+Split-join lemma, used beyond enumeration: when the blocks of G partition
+the points, H is the direct product of its block components H_i (their
+orders multiply to |H|), and the components of H^g have orders multiplying
+to |H| = |H^g|, then J = prod <H_i, (H^g)_i>.  J contains each inflated
+component join and lies in the product of its projections.  So J and H^g
+get a DirectFactorStructure and a chain assembled from the component chains
+(StabilizerChain.direct_product), and no Schreier-Sims runs on the whole
+degree.  Where H does not split, or G is enumerable, J is formed as before.
+
 Strong pronormality asks the same orbit question on the right cosets of
 N_G(K): some x in <H, K^g> has K^(gx) <= H exactly when the orbit of
 N_G(K)*g meets S_K = {N_G(K)*y : K^y <= H}, computed once per K.
@@ -34,8 +43,9 @@ from typing import Optional
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure,
-                    decompose_blockwise, inflate, intersect_groups, normal_closure,
-                    right_cosets, right_transversal, subgroup_check)
+                    decompose_blockwise, inflate, intersect_groups, is_partition,
+                    normal_closure, right_cosets, right_transversal, split_join, split_over,
+                    subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
                        conjugate_into, is_normal, normalizer, subgroup_classes)
@@ -181,25 +191,44 @@ def _joint_of(h: PermGroup, conj_gens, blocks, index=None) -> PermGroup:
     return joint
 
 
+def _split_instance(h: PermGroup, conj_gens, blocks):
+    """(joint, h, h^g) for a parent beyond enumeration, split over blocks by
+    the split-join lemma when it applies; each group's components are
+    computed here once, and no chain is built on the whole degree.
+
+    The lemma needs h = prod h_i over the partition blocks (h's own order
+    checks it) and components of h^g whose orders multiply to |h| = |h^g|;
+    otherwise the joint's chain is built by Schreier-Sims and
+    attach_block_structure looks for its split, as in _joint_of.
+    """
+    hg = PermGroup(h.degree, conj_gens)
+    split_h = split_over(h, blocks) if blocks else None
+    split_hg = split_over(hg, blocks, h.order()) if split_h is not None else None
+    if split_hg is None:
+        return _joint_of(h, conj_gens, blocks), h, hg
+    return split_join(split_h, split_hg), split_h, split_hg
+
+
 def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
                   norm: Optional[PermGroup], caps: Caps) -> PronormalityReport:
     """Decide the instance (h, g) for both testers; conj_gens are h's generators ^ g.
 
     With norm = N_parent(h), runs the orbit test on its right cosets and, on
     a miss only, closes the joint on parent's element numbers.  With norm
-    None (parent beyond enumeration), builds the joint's chain and sifts g.
-    The joint is scanned only on a miss.  The report counts one coset.
+    None (parent beyond enumeration), forms the joint by _split_instance and
+    sifts g.  The joint is scanned only on a miss.  The report counts one coset.
     """
     blocks = parent.factors and parent.factors.blocks
     if norm is None:
-        joint = _joint_of(h, conj_gens, blocks)
+        joint, h_split, hg = _split_instance(h, conj_gens, blocks)
         if joint.contains(g):
             return PronormalityReport(h, parent, True, checked_coset_count=1)
     elif _joint_meets_coset(parent, norm, h.generators + tuple(conj_gens), g, {0}, caps):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
     else:
         joint = _joint_of(h, conj_gens, blocks, ElementIndex(parent, caps))
-    status, data = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
+        h_split, hg = h, PermGroup(h.degree, conj_gens)
+    status, data = _decide_in_joint(joint, h_split, hg, caps)
     if status == "found":
         if norm is not None:
             raise GroupError("the joint scan found a conjugator although the joint misses "
@@ -275,6 +304,9 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
         raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
 
     norm = _normalizer(parent, h, caps)
+    if norm is parent:
+        # h is normal: its only coset is the trivial one, and none is tabled
+        return PronormalityReport(h, parent, True)
     checked = 0
     for t in right_transversal(parent, norm, caps)[1:]:
         checked += 1
@@ -285,24 +317,31 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
 
 
 def replay_non_pronormality(parent: PermGroup, h: PermGroup, g: Permutation, joint_order: int,
-                            blocks, caps: Caps = DEFAULT_CAPS):
+                            blocks, caps: Caps = DEFAULT_CAPS, claim=None):
     """Replay "no x in J = <H, H^g> has H^x = H^g"; returns (ok, detail).
 
-    Checks H <= parent and g in parent, rebuilds J (split over blocks when
-    given), compares its order with the claimed one and reruns the
-    conjugator search in J, which must again find nothing.
+    Checks H <= parent, g in parent and that blocks, when given, partition
+    the points; rebuilds J as the decision does (split over blocks when the
+    lemma applies), compares its order with the claimed one and reruns the
+    conjugator search in J, which must again find nothing.  claim, when
+    given, is the recorded (mode, scanned, failing_block) and must equal
+    what the rescan returns.
     """
     if not parent.contains_group(h):
         return False, "subject is not inside the ambient group"
     if not parent.contains(g):
         return False, "witness g is outside the ambient group"
-    conj_gens = tuple(x.conj(g) for x in h.generators)
-    joint = _joint_of(h, conj_gens, blocks)
+    if blocks is not None and not is_partition(blocks, parent.degree):
+        return False, f"blocks do not partition the points 0..{parent.degree - 1}"
+    joint, h, hg = _split_instance(h, tuple(x.conj(g) for x in h.generators), blocks)
     if joint.order() != joint_order:
         return False, "joint order mismatch"
-    status, _ = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), caps)
+    status, data = _decide_in_joint(joint, h, hg, caps)
     if status != "absent":
         return False, f"replay found status {status}"
+    if claim is not None and tuple(claim) != data:
+        return False, (f"the rescan gives (mode, scanned, failing block) {data}, "
+                       f"the claim {tuple(claim)}")
     return True, "no conjugator exists in the joint (rescanned)"
 
 
@@ -312,7 +351,8 @@ def replay_pronormality_failure(report: PronormalityReport, caps: Caps = DEFAULT
         raise GroupError("only negative reports replay")
     fail = report.failure
     return replay_non_pronormality(report.ambient, report.subject, fail.g, fail.joint.order(),
-                                   fail.joint.factors and fail.joint.factors.blocks, caps)[0]
+                                   fail.joint.factors and fail.joint.factors.blocks, caps,
+                                   (fail.mode, fail.scanned, fail.failing_block))[0]
 
 
 def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> StrongPronormalityReport:

@@ -1,3 +1,4 @@
+import functools
 import json
 from types import SimpleNamespace
 
@@ -289,6 +290,35 @@ def _no_hall_classes(pi):
     return certs.hall_classes_certificate(alternating(5), pi, []), None
 
 
+@functools.lru_cache(maxsize=None)
+def _wreath_certificate_text():
+    """The theorem3 certificate (g = tau, blockwise, failing at block 0), as JSON."""
+    pi = frozenset({2, 3})
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, pi)
+    pair = wreath_hall_pair(base, u, v, pi, 5)
+    report = pronormality_instance(pair.wreath.group, pair.hall_first.group, pair.tau)
+    return json.dumps(certs.non_pronormality_certificate(pair.wreath.group, report, pi=pi))
+
+
+def _wreath_forgery(edit):
+    """The theorem3 certificate with its joint record edited and a fresh digest."""
+    cert = json.loads(_wreath_certificate_text())
+    joint = cert["payload"]["joint"]
+    edit(joint)
+    cert["transcript"]["scanned"] = joint["scanned"]
+    cert["digest"] = certs.certificate_digest(cert)
+    return cert, None
+
+
+def _merge_first_blocks(joint):
+    # block 0 holds V and U^tau = U: their join, psl2:7 x U on 16 points, has
+    # 168 * 24 = 4032 elements and none conjugates V x U to U x U
+    blocks = joint["blocks"]
+    joint["blocks"] = [blocks[0] + blocks[1]] + blocks[2:]
+    joint["scanned"] = 4032
+
+
 _FORGERIES = {
     "tower sym:3 genuine": ("sylow-tower", lambda: _s3_tower([2, 3], True), True),
     "tower sym:3 complexion misses 3": ("sylow-tower", lambda: _s3_tower([2], False), False),
@@ -318,6 +348,21 @@ _FORGERIES = {
     "hall-classes alt:5 {3,5} none": ("hall-classes", lambda: _no_hall_classes({3, 5}), True),
     "hall-classes alt:5 {2,3} none claimed": ("hall-classes", lambda: _no_hall_classes({2, 3}),
                                               False),
+    "wreath genuine": ("non-pronormality", lambda: _wreath_forgery(lambda joint: None), True),
+    # block 3 holds U and U, which are conjugate
+    "wreath failing block 3": ("non-pronormality", lambda: _wreath_forgery(
+        lambda joint: joint.update(failing_block=3)), False),
+    "wreath scanned 1": ("non-pronormality", lambda: _wreath_forgery(
+        lambda joint: joint.update(scanned=1)), False),
+    "wreath block holds point 99": ("non-pronormality", lambda: _wreath_forgery(
+        lambda joint: joint["blocks"][4].append(99)), False),
+    "wreath duplicated block": ("non-pronormality", lambda: _wreath_forgery(
+        lambda joint: joint["blocks"].append(joint["blocks"][0])), False),
+    "wreath overlapping blocks": ("non-pronormality", lambda: _wreath_forgery(
+        lambda joint: joint["blocks"][1].insert(0, 7)), False),
+    # a coarser true partition keeps the claim true
+    "wreath blocks 0 and 1 merged": ("non-pronormality",
+                                     lambda: _wreath_forgery(_merge_first_blocks), True),
 }
 
 
@@ -388,3 +433,26 @@ def test_scenario_certificate_digests_are_pinned(name):
     cert = _scenario_certificate(name)
     assert cert["digest"] == _PINNED_DIGESTS[name]
     assert certs.verify_certificate(cert)[0]
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("wreath failing block 3", "rescan gives"),
+    ("wreath scanned 1", "rescan gives"),
+    ("wreath block holds point 99", "do not partition"),
+    ("wreath duplicated block", "do not partition"),
+    ("wreath overlapping blocks", "do not partition"),
+])
+def test_forged_wreath_records_are_rejected_by_name(name, reason):
+    cert, _ = _FORGERIES[name][1]()
+    ok, detail = certs.verify_certificate(cert)
+    assert not ok
+    assert reason in detail
+
+
+def test_transcript_scan_count_must_match_the_joint():
+    cert, _ = _wreath_forgery(lambda joint: None)
+    cert["transcript"]["scanned"] = 1
+    cert["digest"] = certs.certificate_digest(cert)
+    ok, detail = certs.verify_certificate(cert)
+    assert not ok
+    assert "scan counts" in detail

@@ -7,13 +7,14 @@ stored inverse transversal elements; the chain must stay bit-identical.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from hallperm.catalog import build_catalog, parse_group_spec
 from hallperm.constructions import wreath_hall_pair
 from hallperm.errors import GroupError
-from hallperm.group import PermGroup, StabilizerChain
+from hallperm.group import PermGroup, StabilizerChain, split_join, split_over
 from hallperm.hall import hall_subgroups
 from hallperm.perm import Permutation
 from hallperm.pronormal import pronormality_instance
@@ -103,3 +104,61 @@ def test_a_corrupt_chain_stops_growing():
         lvl.inverse[pt] = chain._identity
     with pytest.raises(GroupError, match="outgrew"):
         chain.add_generator(Permutation.parse("(0 1)", 3))
+
+
+@pytest.fixture(scope="module")
+def split_wreath_joint():
+    """G, the Schreier-Sims chain of <H, H^tau> and the same joint split over
+    the blocks, its chain assembled from the 8-point component chains."""
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, {2, 3})[:2]
+    pair = wreath_hall_pair(base, u, v, {2, 3}, 5)
+    group, h, tau = pair.wreath.group, pair.hall_first.group, pair.tau
+    blocks = pair.wreath.blocks
+    split_h = split_over(h, blocks)
+    split_hg = split_over(h.conjugate(tau), blocks, h.order())
+    joint = split_join(split_h, split_hg)
+    return group, _chain(joint), joint
+
+
+def test_assembled_chain_holds_the_invariants(split_wreath_joint):
+    _, _, joint = split_wreath_joint
+    joint.chain.check_invariants()
+    assert joint.chain.order() == 390168576
+    assert joint.factors is not None and len(joint.factors.blocks) == 5
+
+
+def test_assembled_chain_agrees_with_schreier_sims_on_seeded_elements(split_wreath_joint):
+    group, built, joint = split_wreath_joint
+    rng = random.Random(11)
+    words = [group.generators, joint.generators]   # mostly outside J, then inside
+    verdicts = []
+    for gens in words:
+        for _ in range(60):
+            x = group.identity
+            for _ in range(20):
+                x = x * rng.choice(gens)
+            verdicts.append(joint.chain.contains(x))
+            assert verdicts[-1] == built.contains(x)
+    assert True in verdicts and False in verdicts
+
+
+PRODUCTS = tuple(e.name for e in build_catalog(2000) if e.name.startswith("product("))
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_assembled_chain_agrees_with_schreier_sims_on_products(spec):
+    group = parse_group_spec(spec)
+    structure = group.factors
+    assembled = StabilizerChain.direct_product(group.degree, structure.blocks,
+                                               [f.chain for f in structure.factor_groups])
+    assembled.check_invariants()
+    built = _chain(group)
+    assert assembled.order() == built.order() == group.order()
+    rng = random.Random(5)
+    members = group.elements()[::max(1, group.order() // 200)]
+    others = [Permutation(rng.sample(range(group.degree), group.degree)) for _ in range(200)]
+    for x in members + others:
+        assert assembled.contains(x) == built.contains(x)
+    assert all(assembled.contains(x) for x in members)
+    assert not all(assembled.contains(x) for x in others)

@@ -397,3 +397,39 @@ def test_strong_scan_contradicting_an_orbit_miss_is_an_error(monkeypatch, sym5):
     monkeypatch.setattr(pronormal, "_joint_meets_coset", lambda *args: False)
     with pytest.raises(GroupError, match="library bug"):
         is_strongly_pronormal(sym5, sylow(sym5, 2).group)
+
+
+def test_wreath_instances_build_no_chain_on_the_whole_degree(monkeypatch):
+    # the split-join lemma assembles the joint's chain from 8-point ones
+    import random
+    from hallperm.catalog import parse_group_spec
+    from hallperm.group import StabilizerChain
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, {2, 3})[:2]
+    pair = wreath_hall_pair(base, u, v, {2, 3}, 5)
+    group, h = pair.wreath.group, pair.hall_first.group
+    assert group.order() and h.order()     # the chains that check G and H, built once
+    rng = random.Random(1)
+    seeded = []
+    # words in G's generators, then in those of the base copy on block 0
+    for gens in (group.generators, group.generators[:-1]):
+        for _ in range(3):
+            g = group.identity
+            for _ in range(20):
+                g = g * rng.choice(gens)
+            seeded.append(g)
+    degrees = []
+    build = StabilizerChain.build.__func__
+    monkeypatch.setattr(StabilizerChain, "build", classmethod(
+        lambda cls, degree, gens: degrees.append(degree) or build(cls, degree, gens)))
+    verdicts = [pronormality_instance(group, h, g).verdict for g in [pair.tau] + seeded]
+    assert verdicts[0] is False and True in verdicts
+    assert degrees and set(degrees) == {8}
+
+
+def test_normal_subject_leaves_no_coset_table():
+    from hallperm.catalog import parse_group_spec
+    group = parse_group_spec("sym:8")
+    report = is_pronormal(group, group)
+    assert (report.verdict, report.checked_coset_count) == (True, 0)
+    assert not [key for key in group._cache if isinstance(key, tuple) and key[0] == "cosets"]
