@@ -246,9 +246,9 @@ def _verify_non_pronormality(cert, caps):
         return False, "the transcript and the joint record different scan counts"
     return replay_non_pronormality(group, rebuild_group(payload["subject"]),
                                    perm_from_payload(payload["witness_g"], group.degree),
-                                   joint["order"], joint.get("blocks"), caps,
+                                   joint["order"], joint.get("blocks"),
                                    (joint.get("mode"), joint.get("scanned"),
-                                    joint.get("failing_block")))
+                                    joint.get("failing_block")), caps)
 
 
 def _verify_non_strong_pronormality(cert, caps):

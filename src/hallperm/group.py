@@ -71,19 +71,15 @@ class StabilizerChain:
         and every basic orbit is the factor's.  No Schreier-Sims is run.
         """
         chain = cls(degree)
-        fixed = list(range(degree))
         for block, part in zip(blocks, chains):
-            def up(p):
-                # inflate(p, block, degree)
-                images = fixed.copy()
-                for pt, q in zip(block, p):
-                    images[pt] = block[q]
-                return Permutation(images, check=False)
             for lvl in part.levels:
                 new = _Level(block[lvl.beta], chain._identity)
-                new.own_gens = [(up(s), up(s_inv)) for s, s_inv in lvl.own_gens]
-                new.transversal = {block[pt]: up(u) for pt, u in lvl.transversal.items()}
-                new.inverse = {block[pt]: up(u) for pt, u in lvl.inverse.items()}
+                new.own_gens = [(inflate(s, block, degree), inflate(s_inv, block, degree))
+                                for s, s_inv in lvl.own_gens]
+                new.transversal = {block[pt]: inflate(u, block, degree)
+                                   for pt, u in lvl.transversal.items()}
+                new.inverse = {block[pt]: inflate(u, block, degree)
+                               for pt, u in lvl.inverse.items()}
                 chain.levels.append(new)
         return chain
 
@@ -738,32 +734,24 @@ def decompose_blockwise(group: PermGroup, blocks, order: Optional[int] = None):
     return components
 
 
-def attach_block_structure(group: PermGroup, blocks) -> Optional[PermGroup]:
+def attach_block_structure(group: PermGroup, blocks,
+                           order: Optional[int] = None) -> Optional[PermGroup]:
     """Re-wrap group, keeping its chain and caches, with DirectFactorStructure
-    when it splits over blocks."""
-    components = decompose_blockwise(group, blocks)
-    if components is None:
-        return None
-    return _with_factors(group, blocks, components, group._chain)
+    when the blocks partition its points and it is the direct product of its
+    components over them (order as in decompose_blockwise), else None.
 
-
-def split_over(group: PermGroup, blocks, order: Optional[int] = None) -> Optional[PermGroup]:
-    """group with its DirectFactorStructure over the partition blocks, or None
-    unless it is the direct product of its components (order as in
-    decompose_blockwise).  A group without a chain gets one assembled from
-    the components' chains."""
+    A group known only by its generators (a conjugate whose order the caller
+    gave) gets a chain assembled from the components' chains, not built.
+    """
     if not is_partition(blocks, group.degree):
         return None
     components = decompose_blockwise(group, blocks, order)
     if components is None:
         return None
-    chain = group._chain or StabilizerChain.direct_product(
-        group.degree, blocks, [c.chain for c in components])
-    return _with_factors(group, blocks, components, chain)
-
-
-def _with_factors(group: PermGroup, blocks, components, chain) -> PermGroup:
-    """group with the given chain, its caches and the shift-free structure."""
+    chain = group._chain
+    if chain is None and "elements" not in group._cache:
+        chain = StabilizerChain.direct_product(group.degree, blocks,
+                                               [c.chain for c in components])
     structure = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
                                       factor_groups=tuple(components))
     structured = PermGroup(group.degree, group.generators, chain=chain,
@@ -773,7 +761,8 @@ def _with_factors(group: PermGroup, blocks, components, chain) -> PermGroup:
 
 
 def split_join(a: PermGroup, b: PermGroup) -> PermGroup:
-    """<a, b> for a and b split over the same partition (both from split_over).
+    """<a, b> for a and b split over the same partition (both from
+    attach_block_structure).
 
     When A = prod A_i and B = prod B_i over the blocks, <A, B> is
     prod <A_i, B_i>: it contains each inflated <A_i, B_i>, since A and B

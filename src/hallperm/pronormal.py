@@ -44,8 +44,7 @@ from typing import Optional
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure,
                     decompose_blockwise, inflate, intersect_groups, is_partition,
-                    normal_closure, right_cosets, right_transversal, split_join, split_over,
-                    subgroup_check)
+                    normal_closure, right_cosets, right_transversal, split_join, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
                        conjugate_into, is_normal, normalizer, subgroup_classes)
@@ -202,8 +201,8 @@ def _split_instance(h: PermGroup, conj_gens, blocks):
     attach_block_structure looks for its split, as in _joint_of.
     """
     hg = PermGroup(h.degree, conj_gens)
-    split_h = split_over(h, blocks) if blocks else None
-    split_hg = split_over(hg, blocks, h.order()) if split_h is not None else None
+    split_h = attach_block_structure(h, blocks) if blocks else None
+    split_hg = attach_block_structure(hg, blocks, h.order()) if split_h is not None else None
     if split_hg is None:
         return _joint_of(h, conj_gens, blocks), h, hg
     return split_join(split_h, split_hg), split_h, split_hg
@@ -317,15 +316,15 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
 
 
 def replay_non_pronormality(parent: PermGroup, h: PermGroup, g: Permutation, joint_order: int,
-                            blocks, caps: Caps = DEFAULT_CAPS, claim=None):
+                            blocks, claim, caps: Caps = DEFAULT_CAPS):
     """Replay "no x in J = <H, H^g> has H^x = H^g"; returns (ok, detail).
 
     Checks H <= parent, g in parent and that blocks, when given, partition
     the points; rebuilds J as the decision does (split over blocks when the
     lemma applies), compares its order with the claimed one and reruns the
-    conjugator search in J, which must again find nothing.  claim, when
-    given, is the recorded (mode, scanned, failing_block) and must equal
-    what the rescan returns.
+    conjugator search in J, which must again find nothing.  claim is the
+    recorded (mode, scanned, failing_block) and must equal what the rescan
+    returns.
     """
     if not parent.contains_group(h):
         return False, "subject is not inside the ambient group"
@@ -339,7 +338,7 @@ def replay_non_pronormality(parent: PermGroup, h: PermGroup, g: Permutation, joi
     status, data = _decide_in_joint(joint, h, hg, caps)
     if status != "absent":
         return False, f"replay found status {status}"
-    if claim is not None and tuple(claim) != data:
+    if tuple(claim) != data:
         return False, (f"the rescan gives (mode, scanned, failing block) {data}, "
                        f"the claim {tuple(claim)}")
     return True, "no conjugator exists in the joint (rescanned)"
@@ -351,8 +350,8 @@ def replay_pronormality_failure(report: PronormalityReport, caps: Caps = DEFAULT
         raise GroupError("only negative reports replay")
     fail = report.failure
     return replay_non_pronormality(report.ambient, report.subject, fail.g, fail.joint.order(),
-                                   fail.joint.factors and fail.joint.factors.blocks, caps,
-                                   (fail.mode, fail.scanned, fail.failing_block))[0]
+                                   fail.joint.factors and fail.joint.factors.blocks,
+                                   (fail.mode, fail.scanned, fail.failing_block), caps)[0]
 
 
 def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> StrongPronormalityReport:

@@ -14,7 +14,7 @@ import pytest
 from hallperm.catalog import build_catalog, parse_group_spec
 from hallperm.constructions import wreath_hall_pair
 from hallperm.errors import GroupError
-from hallperm.group import PermGroup, StabilizerChain, split_join, split_over
+from hallperm.group import PermGroup, StabilizerChain, attach_block_structure, split_join
 from hallperm.hall import hall_subgroups
 from hallperm.perm import Permutation
 from hallperm.pronormal import pronormality_instance
@@ -115,8 +115,8 @@ def split_wreath_joint():
     pair = wreath_hall_pair(base, u, v, {2, 3}, 5)
     group, h, tau = pair.wreath.group, pair.hall_first.group, pair.tau
     blocks = pair.wreath.blocks
-    split_h = split_over(h, blocks)
-    split_hg = split_over(h.conjugate(tau), blocks, h.order())
+    split_h = attach_block_structure(h, blocks)
+    split_hg = attach_block_structure(h.conjugate(tau), blocks, h.order())
     joint = split_join(split_h, split_hg)
     return group, _chain(joint), joint
 
