@@ -16,7 +16,7 @@ import json
 import os
 
 from .errors import GroupError, NotASubgroup, Caps, DEFAULT_CAPS
-from .group import PermGroup, Permutation, subgroup_check
+from .group import PermGroup, Permutation, group_over_blocks, subgroup_check
 from .hall import SylowTower, hall_subgroups, pi_part, is_pi_number
 from .subgroup import ConjugacyWitness, Subgroup, is_conjugate
 from .pronormal import replay_non_pronormality, replay_non_strong_pronormality
@@ -44,10 +44,16 @@ def group_payload(group: PermGroup) -> dict:
     }
 
 
-def rebuild_group(payload: dict) -> PermGroup:
+def rebuild_group(payload: dict, blocks=None) -> PermGroup:
+    """The group a payload names, checked against the order it claims.
+
+    blocks, a block system the certificate records, is only a hint: when it
+    is one for the group, the order comes from group_over_blocks' bounded
+    build, else from the plain build.  Either way it is the true order.
+    """
     degree = payload["degree"]
     gens = [perm_from_payload(s, degree) for s in payload["generators"]]
-    group = PermGroup(degree, gens, provenance=payload.get("spec"))
+    group = group_over_blocks(degree, gens, blocks, provenance=payload.get("spec"))
     if group.order() != payload["order"]:
         raise GroupError(f"rebuilt group has order {group.order()}, certificate says {payload['order']}")
     return group
@@ -239,14 +245,15 @@ def _verify_conjugacy_witness(cert, caps):
 
 
 def _verify_non_pronormality(cert, caps):
-    group = rebuild_group(cert["group"])
     payload = cert["payload"]
     joint = payload["joint"]
+    blocks = joint.get("blocks")
+    group = rebuild_group(cert["group"], blocks)
     if cert["transcript"].get("scanned") != joint.get("scanned"):
         return False, "the transcript and the joint record different scan counts"
-    return replay_non_pronormality(group, rebuild_group(payload["subject"]),
+    return replay_non_pronormality(group, rebuild_group(payload["subject"], blocks),
                                    perm_from_payload(payload["witness_g"], group.degree),
-                                   joint["order"], joint.get("blocks"),
+                                   joint["order"], blocks,
                                    (joint.get("mode"), joint.get("scanned"),
                                     joint.get("failing_block")), caps)
 

@@ -8,6 +8,13 @@ for bit.  No randomization is used anywhere.
 Each level holds its transversal elements u and, filled in the same order,
 their inverses u^-1, and each strong generator is stored with its inverse, so
 sifting and forming Schreier generators multiply but never invert.
+
+A caller that has proved an upper bound on the group's order may pass it to
+add_generator; the drain then stops as soon as the chain's order reaches it,
+which is sound because a chain's order never exceeds that of the group its
+strong generators come from.  group_over_blocks proves such a bound from a
+block system and seeds the chain with a direct product over the blocks.
+The stop depends only on the order, so the build stays deterministic.
 """
 
 from __future__ import annotations
@@ -120,13 +127,16 @@ class StabilizerChain:
 
     # -- construction ----------------------------------------------------
 
-    def add_generator(self, g: Permutation):
+    def add_generator(self, g: Permutation, bound: Optional[int] = None):
+        """Add g and run Schreier-Sims; with bound, an upper bound on the
+        order of a group that contains the chain's elements and g, stop as
+        soon as the chain's order reaches it."""
         if len(g) != self.degree:
             raise DegreeMismatch(f"degree {len(g)} generator in degree {self.degree} chain")
         residue = self.sift(g)
         if not residue.is_identity:
             self._install(residue)
-            self._drain()
+            self._drain(bound)
 
     def _suffix_gens(self, i):
         """(g, g^-1) for the strong generators of level i."""
@@ -178,9 +188,16 @@ class StabilizerChain:
                     for s2, _ in gens:
                         self._queue.append((k, img, s2))
 
-    def _drain(self):
-        while self._queue:
-            k, pt, s = self._queue.popleft()
+    def _drain(self, bound=None):
+        # the sift products of a chain are distinct elements of the group its
+        # strong generators lie in, so an order that reaches a proven bound
+        # on that group's order means every element sifts: the pending
+        # Schreier generators would all sift to the identity
+        queue = self._queue
+        if bound is not None and self.order() == bound:
+            queue.clear()
+        while queue:
+            k, pt, s = queue.popleft()
             lvl = self.levels[k]
             # the Schreier generator u s u'^-1, u' the transversal element of s[pt]
             img = s[pt]
@@ -190,6 +207,8 @@ class StabilizerChain:
             residue = self.sift(us * lvl.inverse[img], start=k + 1)
             if not residue.is_identity:
                 self._install(residue)
+                if bound is not None and self.order() == bound:
+                    queue.clear()
 
     def check_invariants(self):
         """Sift every strong generator, recompute every basic orbit and check
@@ -711,6 +730,115 @@ def block_components(group: PermGroup, blocks):
 def is_partition(blocks, degree: int) -> bool:
     """True iff the blocks are non-empty and partition the points 0..degree-1."""
     return all(blocks) and sorted(pt for b in blocks for pt in b) == list(range(degree))
+
+
+def _as_partition(blocks, degree: int):
+    """blocks as tuples when they are int lists partitioning 0..degree-1 into
+    at least two blocks, else None; never raises."""
+    if not (isinstance(blocks, (list, tuple)) and len(blocks) >= 2 and
+            all(isinstance(b, (list, tuple)) and all(type(pt) is int for pt in b)
+                for b in blocks)):
+        return None
+    blocks = tuple(tuple(b) for b in blocks)
+    return blocks if is_partition(blocks, degree) else None
+
+
+def _block_action(generators, blocks):
+    """Each generator's action on the blocks, as a permutation of their
+    indices, or None unless every generator maps each block onto a block."""
+    where = {frozenset(b): i for i, b in enumerate(blocks)}
+    actions = []
+    for s in generators:
+        image = [where.get(frozenset(s[pt] for pt in b)) for b in blocks]
+        if None in image:
+            return None
+        actions.append(Permutation(image, check=False))
+    return actions
+
+
+def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str] = None):
+    """<generators>, its chain grown from the blocks when they are a block
+    system for it, else with the plain chain built lazily, as PermGroup does.
+
+    blocks may come from outside and are trusted for nothing: they are used
+    only when they are lists of ints that partition 0..degree-1 into at
+    least two blocks which every generator maps onto blocks.  Then:
+
+    - U = |G^blocks| * prod_B |P_B| bounds |G|.  For one block B of each
+      block orbit, with t_j the products of generators carrying B to block j
+      along a Schreier tree, the t_j s t_(j^s)^-1 generate the block
+      stabilizer G_B (Schreier's lemma), and P_B is generated by their
+      restrictions to B.  The kernel of the action on the blocks lies in
+      the product of its projections, each inside a conjugate of a P_B.
+    - The generators and Schreier generators that move only the points of
+      one block, with their conjugates by the t_j onto the other blocks of
+      its orbit, lie in G and generate a direct product W <= G.  Its chain
+      is assembled from block-sized builds, one per distinct generator set.
+    - The generators are added to W's chain by Schreier-Sims, which stops
+      as soon as the order reaches U (see _drain).  When U is not reached
+      the drain runs to its end, as in a plain build.
+
+    When every generator fixes every block and the order is U, the group is
+    the direct product of the P_B and carries them as its factors.
+    """
+    group = PermGroup(degree, generators, provenance=provenance)
+    gens = group.generators
+    blocks = _as_partition(blocks, degree)
+    actions = _block_action(gens, blocks) if blocks is not None else None
+    if not actions:
+        return group
+    inverses = [~s for s in gens]
+    shared = {}
+
+    def local(size, perms):
+        part = PermGroup(size, perms)
+        return shared.setdefault(part.generators, part)
+
+    bound = PermGroup(len(blocks), actions).order()
+    carry, carry_inv, orbit_of = {}, {}, {}
+    schreier = []
+    projections = [None] * len(blocks)
+    for first in range(len(blocks)):
+        if first in carry:
+            continue
+        carry[first] = carry_inv[first] = group.identity
+        orbit = [first]
+        for j in orbit:
+            for s, s_inv, action in zip(gens, inverses, actions):
+                k = action[j]
+                if k not in carry:
+                    carry[k], carry_inv[k] = carry[j] * s, s_inv * carry_inv[j]
+                    orbit.append(k)
+        stabilizer = [carry[j] * s * carry_inv[action[j]]
+                      for j in orbit for s, action in zip(gens, actions)]
+        schreier += stabilizer
+        p_b = local(len(blocks[first]), [deflate(x, blocks[first]) for x in stabilizer])
+        bound *= p_b.order() ** len(orbit)
+        for j in orbit:
+            orbit_of[j] = orbit
+            projections[j] = p_b
+
+    # a generator that moves one block's points only fixes every block, so
+    # it is among the Schreier generators of each orbit's first block
+    block_of = {pt: i for i, b in enumerate(blocks) for pt in b}
+    supported = defaultdict(dict)   # block -> elements moving only its points
+    for x in schreier:
+        moved = {block_of[pt] for pt in x.support()}
+        if len(moved) == 1:
+            i = moved.pop()
+            for j in orbit_of[i]:
+                y = x.conj(carry_inv[i] * carry[j])
+                supported[j].setdefault(y, None)
+    parts = [(blocks[j], local(len(blocks[j]), [deflate(y, blocks[j]) for y in supported[j]]))
+             for j in sorted(supported)]
+    chain = StabilizerChain.direct_product(degree, [b for b, _ in parts],
+                                           [w.chain for _, w in parts])
+    for s in gens:
+        chain.add_generator(s, bound)
+    group._chain = chain
+    if chain.order() == bound and all(a.is_identity for a in actions):
+        group.factors = DirectFactorStructure(blocks, tuple(projections))
+    return group
 
 
 def decompose_blockwise(group: PermGroup, blocks, order: Optional[int] = None):

@@ -301,14 +301,29 @@ def _wreath_certificate_text():
     return json.dumps(certs.non_pronormality_certificate(pair.wreath.group, report, pi=pi))
 
 
-def _wreath_forgery(edit):
-    """The theorem3 certificate with its joint record edited and a fresh digest."""
+def _edited_wreath_certificate(edit):
+    """The theorem3 certificate edited in place, with a fresh digest."""
     cert = json.loads(_wreath_certificate_text())
-    joint = cert["payload"]["joint"]
-    edit(joint)
-    cert["transcript"]["scanned"] = joint["scanned"]
+    edit(cert)
     cert["digest"] = certs.certificate_digest(cert)
     return cert, None
+
+
+def _wreath_forgery(edit):
+    """The theorem3 certificate with its joint record edited and a fresh digest."""
+    def edit_joint(cert):
+        joint = cert["payload"]["joint"]
+        edit(joint)
+        cert["transcript"]["scanned"] = joint["scanned"]
+    return _edited_wreath_certificate(edit_joint)
+
+
+def _claim_order(part, order):
+    """An edit that makes the certificate claim order for G ("group") or the subject."""
+    def edit(cert):
+        record = cert["group"] if part == "group" else cert["payload"]["subject"]
+        record["order"] = order(record["order"])
+    return edit
 
 
 def _merge_first_blocks(joint):
@@ -363,6 +378,14 @@ _FORGERIES = {
     # a coarser true partition keeps the claim true
     "wreath blocks 0 and 1 merged": ("non-pronormality",
                                      lambda: _wreath_forgery(_merge_first_blocks), True),
+    # orders the block bound could be fooled into accepting: the base
+    # product's, and ones above the true order
+    "wreath group order 168^5": ("non-pronormality", lambda: _edited_wreath_certificate(
+        _claim_order("group", lambda order: 168 ** 5)), False),
+    "wreath group order doubled": ("non-pronormality", lambda: _edited_wreath_certificate(
+        _claim_order("group", lambda order: 2 * order)), False),
+    "wreath subject order doubled": ("non-pronormality", lambda: _edited_wreath_certificate(
+        _claim_order("subject", lambda order: 2 * order)), False),
 }
 
 
@@ -441,6 +464,9 @@ def test_scenario_certificate_digests_are_pinned(name):
     ("wreath block holds point 99", "do not partition"),
     ("wreath duplicated block", "do not partition"),
     ("wreath overlapping blocks", "do not partition"),
+    ("wreath group order 168^5", "rebuilt group has order"),
+    ("wreath group order doubled", "rebuilt group has order"),
+    ("wreath subject order doubled", "rebuilt group has order"),
 ])
 def test_forged_wreath_records_are_rejected_by_name(name, reason):
     cert, _ = _FORGERIES[name][1]()
@@ -456,3 +482,34 @@ def test_transcript_scan_count_must_match_the_joint():
     ok, detail = certs.verify_certificate(cert)
     assert not ok
     assert "scan counts" in detail
+
+
+def test_wreath_replay_builds_no_chain_on_the_whole_degree(monkeypatch):
+    # G and H are rebuilt from the recorded blocks, and the replay's split of
+    # H reuses the component chains that H's rebuild made
+    from hallperm import pronormal
+    from hallperm.group import StabilizerChain
+    cert = json.loads(_wreath_certificate_text())
+    builds = []
+    build = StabilizerChain.build.__func__
+
+    def counted(cls, degree, gens):
+        chain = build(cls, degree, gens)
+        builds.append((degree, chain))
+        return chain
+
+    splits = []
+    attach = pronormal.attach_block_structure
+
+    def split(group, *args):
+        splits.append((len(builds), attach(group, *args)))
+        return splits[-1][1]
+
+    monkeypatch.setattr(StabilizerChain, "build", classmethod(counted))
+    monkeypatch.setattr(pronormal, "attach_block_structure", split)
+    assert certs.verify_certificate(cert)[0]
+    assert builds and 40 not in {degree for degree, _ in builds}
+    made_before, split_h = splits[0]
+    rebuilt = [chain for _, chain in builds[:made_before]]
+    for component in split_h.factors.factor_groups:
+        assert any(component._chain is chain for chain in rebuilt)

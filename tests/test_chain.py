@@ -14,7 +14,8 @@ import pytest
 from hallperm.catalog import build_catalog, parse_group_spec
 from hallperm.constructions import wreath_hall_pair
 from hallperm.errors import GroupError
-from hallperm.group import PermGroup, StabilizerChain, attach_block_structure, split_join
+from hallperm.group import (PermGroup, StabilizerChain, attach_block_structure, group_over_blocks,
+                           split_join)
 from hallperm.hall import hall_subgroups
 from hallperm.perm import Permutation
 from hallperm.pronormal import pronormality_instance
@@ -162,3 +163,113 @@ def test_assembled_chain_agrees_with_schreier_sims_on_products(spec):
         assert assembled.contains(x) == built.contains(x)
     assert all(assembled.contains(x) for x in members)
     assert not all(assembled.contains(x) for x in others)
+
+
+# -- chains grown from a block system and stopped at the order bound -------
+
+
+BLOCKED = tuple(e.name for e in build_catalog(60) if e.group.factors is not None)
+
+
+def _words(group, rng, count=60, length=20):
+    words = []
+    for _ in range(count):
+        x = group.identity
+        for _ in range(length):
+            x = x * rng.choice(group.generators)
+        words.append(x)
+    return words
+
+
+def _agrees_with_the_plain_chain(group, blocked):
+    chain = blocked.chain
+    chain.check_invariants()
+    built = _chain(group)
+    assert chain.order() == built.order() == group.order()
+    rng = random.Random(3)
+    members = _words(group, rng)
+    others = [Permutation(rng.sample(range(group.degree), group.degree)) for _ in range(200)]
+    assert all(chain.contains(x) for x in members)
+    assert [chain.contains(x) for x in others] == [built.contains(x) for x in others]
+    assert not all(chain.contains(x) for x in others)
+
+
+@pytest.mark.parametrize("spec", BLOCKED + ("wreath(psl2:7,5)",))
+def test_chain_over_blocks_agrees_on_catalog_groups(spec):
+    group = parse_group_spec(spec)
+    blocked = group_over_blocks(group.degree, group.generators, group.factors.blocks)
+    assert blocked._chain is not None
+    # a product splits over its blocks; a wreath product's shift moves them
+    assert (blocked.factors is None) == (group.factors.shift is not None)
+    _agrees_with_the_plain_chain(group, blocked)
+
+
+def test_a_split_group_over_its_blocks_carries_its_components():
+    # H = V x U^4 fixes every block: the seed is all of H, and its factors
+    # share one chain per distinct component
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, {2, 3})[:2]
+    pair = wreath_hall_pair(base, u, v, {2, 3}, 5)
+    h = pair.hall_first.group
+    blocked = group_over_blocks(h.degree, h.generators, [list(b) for b in pair.wreath.blocks])
+    assert blocked.factors.blocks == pair.wreath.blocks
+    components = blocked.factors.factor_groups
+    assert [c.order() for c in components] == [24] * 5
+    assert len({id(c) for c in components}) == 2
+    _agrees_with_the_plain_chain(h, blocked)
+
+
+@pytest.mark.parametrize("spec", BLOCKED + ("wreath(psl2:7,5)",))
+def test_chain_over_blocks_agrees_for_generators_moving_every_block(spec):
+    # random words seldom move the points of one block only, so the seed is
+    # small and Schreier-Sims has to reach the bound, or the plain order
+    group = parse_group_spec(spec)
+    rng = random.Random(7)
+    words = PermGroup(group.degree, _words(group, rng, count=3, length=12))
+    blocked = group_over_blocks(words.degree, words.generators, group.factors.blocks)
+    _agrees_with_the_plain_chain(words, blocked)
+
+
+def test_diagonal_generators_reach_the_bound_and_split():
+    # (0 1)(3 4 5) and (0 1 2)(3 4) generate Sym(3) x Sym(3) = U, though
+    # neither moves one block only: the seed is trivial and the drain stops
+    # at 36 with the group split over the blocks
+    gens = [Permutation.parse("(0 1)(3 4 5)", 6), Permutation.parse("(0 1 2)(3 4)", 6)]
+    blocked = group_over_blocks(6, gens, [[0, 1, 2], [3, 4, 5]])
+    assert blocked.order() == 36
+    assert [c.order() for c in blocked.factors.factor_groups] == [6, 6]
+    _agrees_with_the_plain_chain(PermGroup(6, gens), blocked)
+
+
+@pytest.mark.parametrize("degree, gens, blocks, order", [
+    # U = 2 * 2 = 4: no generator moves the points of one block only
+    (4, ["(0 1)(2 3)"], [[0, 1], [2, 3]], 2),
+    # diagonal Sym(3) on two blocks of 3: U = 6 * 6 = 36
+    (6, ["(0 1)(3 4)", "(0 1 2)(3 4 5)"], [[0, 1, 2], [3, 4, 5]], 6),
+    # the Klein four-group swapping two blocks of 2: U = 2 * 2^2 = 8
+    (4, ["(0 2)(1 3)", "(0 1)(2 3)"], [[0, 1], [2, 3]], 4),
+])
+def test_chain_over_blocks_runs_on_when_the_bound_is_not_tight(degree, gens, blocks, order):
+    group = PermGroup(degree, [Permutation.parse(g, degree) for g in gens])
+    blocked = group_over_blocks(degree, group.generators, blocks)
+    assert blocked._chain is not None and blocked.factors is None
+    assert blocked.order() == order
+    _agrees_with_the_plain_chain(group, blocked)
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [2, 3, 4, 5]],              # not mapped onto blocks: (1 2 ...) crosses
+    [[0, 1, 2, 3, 4, 5]],                # one block
+    [[0, 1, 2], [3, 4, 5], [5]],         # not a partition
+    [[0, 1, 2], [3, 4, 6]],              # a point outside the degree
+    [[0, 1, 2], []],                     # an empty block
+    [["0", 1, 2], [3, 4, 5]],            # not ints
+    [0, 1],                              # not lists
+    "blocks",
+    None,
+])
+def test_chain_over_blocks_falls_back_to_the_plain_build(blocks):
+    group = parse_group_spec("sym:6")
+    blocked = group_over_blocks(6, group.generators, blocks)
+    assert blocked._chain is None and blocked.factors is None
+    assert _chain_digest(blocked.chain) == _chain_digest(_chain(group))
