@@ -46,7 +46,7 @@ from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure
                     decompose_blockwise, inflate, intersect_groups, is_partition,
                     normal_closure, right_cosets, right_transversal, split_join, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
-from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer, all_subgroups,
+from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer,
                        conjugate_into, is_normal, normalizer, subgroup_classes)
 
 
@@ -359,8 +359,8 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
 
     K runs over the subgroup_classes reps of h (the property is invariant
     under h-conjugacy of K), g over a right transversal of N_parent(K); the
-    first failing pair in this order is reported, with K re-taken from
-    all_subgroups(h) so that certificates keep its generators.  A pair
+    first failing pair in this order is reported, with K the class rep,
+    which is also the all_subgroups(h) member of its element set.  A pair
     passes when the orbit of N(K)*g under <h, K^g> meets the cosets N(K)*y
     with K^y <= h; only a pair that fails builds the joint and scans it.
     """
@@ -384,8 +384,6 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
             if conjugate_into(joint, PermGroup(h.degree, kg_gens), h, caps) is not None:
                 raise GroupError("the joint scan found a conjugator into the subject although "
                                  "the orbit misses it (library bug)")
-            k = next(s.group for s in all_subgroups(h, caps=caps)
-                     if s.group.element_set(caps) == k.element_set(caps))
             failure = StrongPronormalityFailure(k=k, g=g, joint=joint, scanned=joint.order())
             return StrongPronormalityReport(h, parent, False, failure=failure,
                                             checked_pair_count=checked)

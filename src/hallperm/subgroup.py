@@ -192,20 +192,18 @@ def _set_sort_key(elems):
     return (len(elems), tuple(sorted(elems)))
 
 
-def join_lattice(index: ElementIndex, seeds, order_divides=None):
+def join_lattice(index: ElementIndex, seeds):
     """Every join of seed subgroups, sorted, each with its elements cached.
 
     seeds maps the element numbers (in index) of each nontrivial seed
     subgroup to its generators.  Starting from the trivial group and the
     seeds, every subgroup found is joined with each seed not yet inside it
-    until nothing new appears.  With order_divides, joins whose order does
-    not divide it are dropped; without it, a join that passes half the group
-    is the whole group (Lagrange), filed under the generators of the join
-    that reached it.  Number sets sort like the element sets they stand
-    for, because numbering follows the canonical order.
+    until nothing new appears.  A join that passes half the group is the
+    whole group (Lagrange), filed under the generators of the join that
+    reached it.  Number sets sort like the element sets they stand for,
+    because numbering follows the canonical order.
     """
     whole = len(index.elements)
-    limit = whole // 2 if order_divides is None else order_divides
     seed_items = [(skey, sgens, index.numbers(sgens))
                   for skey, sgens in sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))]
     found = {frozenset([0]): (), **seeds}
@@ -217,12 +215,8 @@ def join_lattice(index: ElementIndex, seeds, order_divides=None):
         for skey, sgens, snumbers in seed_items:
             if all(g in key for g in snumbers):
                 continue
-            joined = index.join(key, numbers + snumbers, limit)
-            if joined is None and order_divides is None:
-                joined = range(whole)
-            if joined is None or (order_divides is not None and order_divides % len(joined)):
-                continue
-            jkey = frozenset(joined)
+            joined = index.join(key, numbers + snumbers, whole // 2)
+            jkey = frozenset(range(whole) if joined is None else joined)
             if jkey not in found:
                 found[jkey] = gens + sgens
                 queue.append(jkey)
@@ -230,78 +224,101 @@ def join_lattice(index: ElementIndex, seeds, order_divides=None):
             for key in sorted(found, key=_set_sort_key)]
 
 
-def _cyclic_seeds(parent: PermGroup, order_divides, caps: Caps):
-    """parent's ElementIndex and its cyclic subgroups whose order divides
-    order_divides, numbers -> (generator,); CapExceeded past subgroup_cap."""
+def _class_orbits(parent: PermGroup, order_divides, caps: Caps):
+    """parent's ElementIndex and, per conjugacy class of subgroups whose order
+    divides order_divides, (rep key, {member key: x}), sorted by rep key.
+
+    Keys are number sets.  Cyclic extension on one explored member M per
+    class: <M^x, C> = <M, C^(x^-1)>^x with C^(x^-1) again a cyclic seed, so
+    joining M with every seed reaches every class.  Seeds of prime-power
+    order suffice, since each element is a product of powers of itself of
+    prime-power order.  A new join enters with its whole conjugation orbit,
+    taken on numbers (y^s = (y^-1 s)^-1 s), and x is the element that
+    carries M to the member; the rep is the orbit's least element set.
+    CapExceeded past subgroup_cap.
+    """
     n = parent.order()
     if n > caps.subgroup_cap:
         raise CapExceeded("subgroup_cap", caps.subgroup_cap, n)
     index = ElementIndex(parent, caps)
-    cyclics = {}
+    mul, whole = index.mul, len(index.elements)
+    inv = index.numbers(~e for e in index.elements)
+    seeds, cyclics = [], set()
     for i, e in enumerate(index.elements[1:], 1):
-        if order_divides is not None and order_divides % e.order() != 0:
+        order = e.order()
+        if len(prime_divisors(order)) > 1 or (order_divides is not None and order_divides % order):
             continue
-        powers = {0}
-        x = i
+        powers, x = {0}, i
         while x:
             powers.add(x)
-            x = index.mul(x, i)
-        cyclics.setdefault(frozenset(powers), (e,))
-    return index, cyclics
-
-
-def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
-    """Every subgroup, optionally only those whose order divides a target.
-
-    Closure of the cyclic subgroups under pairwise joins: any subgroup is a
-    join of its cyclic subgroups added one at a time, and each intermediate
-    join is again a subgroup, so iterating joins with cyclic subgroups to a
-    fixed point enumerates the whole lattice.  With a divisor filter the
-    same argument runs inside any subgroup of admissible order, so pruning
-    joins that leave the divisor set loses nothing.
-    """
-    cache_key = ("all_subgroups", order_divides)
-    cached = parent._cache.get(cache_key)
-    if cached is None:
-        index, cyclics = _cyclic_seeds(parent, order_divides, caps)
-        cached = parent._cache[cache_key] = join_lattice(index, cyclics, order_divides)
-    return [Subgroup(parent, g) for g in cached]
-
-
-def subgroup_classes(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
-    """(rep, class size) per conjugacy class of subgroups, sorted by rep.
-
-    all_subgroups' cyclic extension, run on one member M per class:
-    <M^x, C> = <M, C^(x^-1)>^x with C^(x^-1) again a cyclic seed, so joining
-    M with every seed reaches every class.  Seeds of prime-power order
-    suffice, since each element is a product of powers of itself of
-    prime-power order.  A new join enters with its whole conjugation orbit,
-    taken on numbers (x^s = (x^-1 s)^-1 s); the rep has the orbit's least
-    element set.  Same filter and cap as all_subgroups; nothing is cached.
-    """
-    index, cyclics = _cyclic_seeds(parent, order_divides, caps)
-    mul, inv, whole = index.mul, index.numbers(~e for e in index.elements), len(index.elements)
-    seeds = [index.number[e] for e, in cyclics.values() if len(prime_divisors(e.order())) == 1]
+            x = mul(x, i)
+        if powers not in cyclics:
+            cyclics.add(frozenset(powers))
+            seeds.append(i)
     found, explored = set(), []
 
     def enter(key, gens):
-        keys = orbit([key], index.generators,
-                     lambda k, s: frozenset(mul(inv[mul(inv[x], s)], s) for x in k))
-        found.update(keys)
-        explored.append((key, gens, min(keys, key=_set_sort_key), len(keys)))
+        members = {key: 0}
+        frontier = [key]
+        for k in frontier:    # a dict may not grow while it is iterated; a list may
+            x = members[k]
+            for s in index.generators:
+                image = frozenset(mul(inv[mul(inv[y], s)], s) for y in k)
+                if image not in members:
+                    members[image] = mul(x, s)
+                    frontier.append(image)
+        found.update(members)
+        explored.append((key, gens, members))
 
     enter(frozenset([0]), [])
     if order_divides is None and whole > 1:
         enter(frozenset(range(whole)), index.generators)    # past |G|/2 a join is G
-    for key, gens, _, _ in explored:
+    for key, gens, _ in explored:
         for c in seeds:
             joined = None if c in key else index.join(key, gens + [c], order_divides or whole // 2)
             # without a filter, every join divides |G|
             if joined and not (order_divides or whole) % len(joined) and joined not in found:
                 enter(frozenset(joined), gens + [c])
-    explored.sort(key=lambda entry: _set_sort_key(entry[2]))
-    return [(group_from_elements(parent.degree, [index.elements[i] for i in rep]), size)
-            for _, _, rep, size in explored]
+    classes = [(min(members, key=_set_sort_key), members) for _, _, members in explored]
+    return index, sorted(classes, key=lambda cls: _set_sort_key(cls[0]))
+
+
+def _rep_group(index: ElementIndex, rep):
+    return group_from_elements(index.degree, [index.elements[i] for i in rep])
+
+
+def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
+    """Every subgroup, optionally only those whose order divides a target.
+
+    The members of the subgroup_classes orbits, sorted by element set.  A
+    member M = M0^x of the class whose rep is R = M0^c has the generators of
+    R conjugated by c^-1 x, and its element caches filled from its numbers.
+    Same filter and cap as subgroup_classes; the list is cached.
+    """
+    cache_key = ("all_subgroups", order_divides)
+    cached = parent._cache.get(cache_key)
+    if cached is None:
+        index, classes = _class_orbits(parent, order_divides, caps)
+        listed = []
+        for rep, members in classes:
+            gens = _rep_group(index, rep).generators
+            back = ~index.elements[members[rep]]
+            for key, x in members.items():
+                y = back * index.elements[x]
+                listed.append((key, PermGroup(parent.degree, [g.conj(y) for g in gens])))
+        listed.sort(key=lambda item: _set_sort_key(item[0]))
+        cached = parent._cache[cache_key] = [index.with_elements(g, key) for key, g in listed]
+    return [Subgroup(parent, g) for g in cached]
+
+
+def subgroup_classes(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CAPS):
+    """(rep, class size) per conjugacy class of subgroups whose order divides
+    order_divides, sorted by rep, each rep the least element set of its
+    class, without listing the lattice (see _class_orbits).  CapExceeded
+    past subgroup_cap; nothing is cached.
+    """
+    index, classes = _class_orbits(parent, order_divides, caps)
+    return [(_rep_group(index, rep), len(members)) for rep, members in classes]
 
 
 def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_CAPS):
@@ -445,39 +462,15 @@ def conjugate_into(parent: PermGroup, k, h, caps: Caps = DEFAULT_CAPS):
 
 
 def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):
-    """Every subgroup M with sub <= M <= parent.
+    """Every subgroup M with sub <= M <= parent, sorted by element set.
 
-    BFS on joins <M, t> with t running over a right transversal of M: any
-    overgroup arises by adjoining one element at a time, and adjoining any
-    element of a coset Mt yields the same join as adjoining t.  The same
-    holds for every element of the double coset MtM, so t is skipped when an
-    earlier rep's double coset already holds it.
+    The members of all_subgroups(parent) that hold sub's generators, so it
+    raises CapExceeded("subgroup_cap") past subgroup_cap, as all_subgroups does.
     """
     sub = _as_group(sub)
     subgroup_check(parent, sub)
-    index = ElementIndex(parent, caps)
-    mul = index.mul
-    start = index.key(sub)
-    found = {start: sub}
-    queue = deque([start])
-    while queue:
-        key = queue.popleft()
-        if len(key) == len(index.elements):
-            continue
-        m = found[key]
-        numbers = index.numbers(m.generators)
-        reps, coset_of = index.right_cosets(key)
-        done = {0}
-        for c, t in enumerate(reps):
-            if c in done:
-                continue
-            done |= orbit([c], numbers, lambda d, g: coset_of[mul(reps[d], g)])
-            joined = frozenset(index.join(key, numbers + [t]))
-            if joined not in found:
-                join = PermGroup(parent.degree, m.generators + (index.elements[t],))
-                found[joined] = index.with_elements(join, joined)
-                queue.append(joined)
-    return [Subgroup(parent, found[k]) for k in sorted(found, key=_set_sort_key)]
+    return [m for m in all_subgroups(parent, caps=caps)
+            if all(m.group.contains(g) for g in sub.generators)]
 
 
 def element_conjugacy_classes(parent: PermGroup, caps: Caps = DEFAULT_CAPS):

@@ -1,9 +1,13 @@
+import functools
 import os
+from collections import deque
 
 import pytest
 
 from hallperm.constructions import alternating, psl2, sl2, symmetric
+from hallperm.group import ElementIndex, PermGroup
 from hallperm.perm import Permutation
+from hallperm.subgroup import _set_sort_key
 
 # pytest puts src/ on sys.path (pyproject.toml); CLI tests run `python -m
 # hallperm` in subprocesses, which need it on PYTHONPATH as well.
@@ -120,20 +124,75 @@ def chain_picked_generators(degree, elements):
     return picked
 
 
+def join_lattice(index, seeds, order_divides=None):
+    """Every join of seed subgroups, sorted, each with its elements cached.
+
+    seeds maps the element numbers (in index) of each nontrivial seed
+    subgroup to its generators.  Starting from the trivial group and the
+    seeds, every subgroup found is joined with each seed not yet inside it
+    until nothing new appears.  With order_divides, joins whose order does
+    not divide it are dropped; without it, a join that passes half the group
+    is the whole group (Lagrange), filed under the generators of the join
+    that reached it.  Number sets sort like the element sets they stand
+    for, because numbering follows the canonical order.
+    """
+    whole = len(index.elements)
+    limit = whole // 2 if order_divides is None else order_divides
+    seed_items = [(skey, sgens, index.numbers(sgens))
+                  for skey, sgens in sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))]
+    found = {frozenset([0]): (), **seeds}
+    queue = deque(key for key, _, _ in seed_items)
+    while queue:
+        key = queue.popleft()
+        gens = found[key]
+        numbers = index.numbers(gens)
+        for skey, sgens, snumbers in seed_items:
+            if all(g in key for g in snumbers):
+                continue
+            joined = index.join(key, numbers + snumbers, limit)
+            if joined is None and order_divides is None:
+                joined = range(whole)
+            if joined is None or (order_divides is not None and order_divides % len(joined)):
+                continue
+            jkey = frozenset(joined)
+            if jkey not in found:
+                found[jkey] = gens + sgens
+                queue.append(jkey)
+    return [index.with_elements(PermGroup(index.degree, found[key]), key)
+            for key in sorted(found, key=_set_sort_key)]
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_oracle(group):
+    """Every subgroup of group, sorted by element set: every cyclic subgroup
+    joined with every subgroup found by join_lattice, the library's search
+    before it listed one member per class and took conjugation orbits.
+    Kept per group."""
+    index = ElementIndex(group)
+    cyclics = {}
+    for i, e in enumerate(index.elements[1:], 1):
+        powers = {0}
+        x = i
+        while x:
+            powers.add(x)
+            x = index.mul(x, i)
+        cyclics.setdefault(frozenset(powers), (e,))
+    return join_lattice(index, cyclics)
+
+
 def subgroup_classes_oracle(group):
     """(element set, class size) of every subgroup class, in rep order: the
-    whole lattice from all_subgroups, partitioned by subgroup_conjugacy_classes."""
-    from hallperm.subgroup import all_subgroups, subgroup_conjugacy_classes
-    classes = subgroup_conjugacy_classes(group, [s.group for s in all_subgroups(group)])
+    whole lattice from lattice_oracle, partitioned by subgroup_conjugacy_classes."""
+    from hallperm.subgroup import subgroup_conjugacy_classes
+    classes = subgroup_conjugacy_classes(group, lattice_oracle(group))
     return [(rep.element_set(), size) for rep, size in classes]
 
 
 def maximal_subgroup_reps_oracle(group):
     """Element sets of one rep per class of maximal subgroups: the proper
     subgroups that no other proper subgroup strictly contains."""
-    from hallperm.subgroup import all_subgroups, subgroup_conjugacy_classes
+    from hallperm.subgroup import subgroup_conjugacy_classes
     order = group.order()
-    keys = [(s.group.element_set(), s.group) for s in all_subgroups(group)
-            if s.order() < order]
+    keys = [(k.element_set(), k) for k in lattice_oracle(group) if k.order() < order]
     maximal = [g for key, g in keys if not any(key < other for other, _ in keys)]
     return [rep.element_set() for rep, _ in subgroup_conjugacy_classes(group, maximal)]

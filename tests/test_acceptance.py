@@ -105,6 +105,9 @@ def test_criterion_4_single_class_suite(criterion):
         result = run_suite("theorem2", 500)
         assert result.violations == []
         assert result.indeterminates == []
+        # every overgroup of every Hall rep is checked: a list that drops one
+        # lowers the count (54 groups of order <= 500)
+        assert result.checked == 4126
 
 
 def test_criterion_5_extension_and_quotient_suite(criterion):

@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 
-from hallperm.errors import NotASubgroup
-from hallperm.group import PermGroup, group_from_elements
+from hallperm.catalog import parse_group_spec
+from hallperm.errors import DEFAULT_CAPS, NotASubgroup
+from hallperm.group import PermGroup, decompose_blockwise, group_from_elements
 from hallperm.pronormal import is_pronormal, pronormality_instance
-from hallperm.subgroup import (ConjugacyWitness, Subgroup, all_subgroups, centralizer,
+from hallperm.subgroup import (ConjugacyWitness, Subgroup, _is_conjugate_blockwise,
+                               _is_conjugate_transversal, all_subgroups, centralizer,
                                conjugate_into, is_conjugate, is_normal, normalizer, overgroups,
                                subgroup_conjugacy_classes, sylow)
 from hallperm.constructions import alternating, cyclic, dihedral, symmetric
 
-from conftest import perm
+from conftest import lattice_oracle, perm
 
 
 def test_is_normal(sym5, alt5):
@@ -125,6 +129,32 @@ def test_is_conjugate_symmetry(sym5):
     assert w is not None
     back = w.inverse()
     assert back.source is b and back.target is a
+
+
+@pytest.mark.parametrize("spec, pairs", [
+    ("wreath(sym:3,2)", 96), ("wreath(cyc:2,3)", 6), ("wreath(cyc:3,2)", 1),
+])
+def test_shifted_blockwise_conjugacy_agrees_with_the_transversal_search(spec, pairs):
+    """A regular wreath product carries a shift, so the blockwise search
+    tries every rotation of the blocks.  Over every pair of distinct
+    subgroups of equal order that split over the blocks, it finds a
+    conjugator exactly when the transversal search in a copy of the group
+    without block structure does; some pairs need the shift."""
+    group = parse_group_spec(spec)
+    plain = PermGroup(group.degree, group.generators)
+    blocks = group.factors.blocks
+    split = [k for k in lattice_oracle(group) if decompose_blockwise(k, blocks) is not None]
+    checked = shifted = 0
+    for h, k in itertools.combinations(split, 2):
+        if h.order() != k.order():
+            continue
+        status, witness = _is_conjugate_blockwise(group, h, k, DEFAULT_CAPS)
+        expected = _is_conjugate_transversal(plain, h, k, DEFAULT_CAPS)
+        assert status == "ok" and (witness is None) == (expected is None), (spec, h, k)
+        checked += 1
+        shifted += witness is not None and witness.element[blocks[0][0]] not in blocks[0]
+    assert checked == pairs
+    assert shifted > 0
 
 
 def test_conjugate_witness_replay_guard(sym5):

@@ -1,8 +1,8 @@
 """Subgroup classes without the lattice, the covering verdict taken when it
-is read, and the lattice kept off every runner's path.
+is read, and the lattice kept to the overgroups of theorem2.
 
 subgroup_classes and ClassVerdict's D check are compared with eager oracles
-built from all_subgroups and subgroup_conjugacy_classes
+built from conftest.lattice_oracle and subgroup_conjugacy_classes
 (conftest.subgroup_classes_oracle); the maximal-subgroup reps with the
 quadratic containment filter they replaced.
 """
@@ -137,12 +137,12 @@ def test_classify_builds_no_subgroups_until_d_is_read(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", SMALL + ("alt:6", "sym:5", "psl2:7"))
 def test_maximal_subgroup_reps_match_the_containment_oracle(spec):
-    group, _ = _oracle(spec)    # the oracle's cached lattice is reused
+    group, _ = _oracle(spec)    # lattice_oracle keeps the lattice per group
     got = [m.element_set() for m in suites._maximal_subgroup_reps(group, Caps())]
     assert got == maximal_subgroup_reps_oracle(group)
 
 
-# -- the lattice stays off the runners' path -----------------------------------
+# -- only overgroups lists the lattice -----------------------------------------
 
 
 def _watch_lattice(monkeypatch):
@@ -160,20 +160,24 @@ def _watch_lattice(monkeypatch):
     return callers
 
 
-def test_runners_never_build_the_lattice(monkeypatch):
+def test_runners_build_the_lattice_only_through_overgroups(monkeypatch):
     callers = _watch_lattice(monkeypatch)
     for spec in ("sym:4", "alt:5", "psl2:7", "product(sym:3,cyc:4)"):
         for runner in suites._GROUP_RUNNERS:
             result = suites.run_group_task(runner, spec)
             assert not result.violations and not result.cap_hits, (runner, spec)
-    assert set(callers) <= {"is_strongly_pronormal"}
+    assert set(callers) == {"overgroups"}
 
 
-def test_strong_tester_builds_the_lattice_only_to_report_a_failure(monkeypatch):
+def test_strong_tester_never_builds_the_lattice(monkeypatch):
+    """The reported K is its subgroup_classes rep, which is also the
+    all_subgroups member of its element set, generators included."""
     callers = _watch_lattice(monkeypatch)
     handle = pointwise_stabilizer(5, 3)
     report = pronormal.is_strongly_pronormal(handle.parent, handle.group)
     assert report.verdict is False
-    assert callers == ["is_strongly_pronormal"]
-    lattice = [s.group for s in subgroup.all_subgroups(handle.group)]
-    assert any(report.failure.k is k for k in lattice)
+    assert callers == []
+    k = report.failure.k
+    member = next(s.group for s in subgroup.all_subgroups(handle.group)
+                  if s.group.element_set() == k.element_set())
+    assert member.generators == k.generators
