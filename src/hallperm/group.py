@@ -19,10 +19,12 @@ The stop depends only on the order, so the build stays deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import CapExceeded, DegreeMismatch, GroupError, NotASubgroup, Caps, DEFAULT_CAPS
@@ -79,16 +81,39 @@ class StabilizerChain:
         """
         chain = cls(degree)
         for block, part in zip(blocks, chains):
-            for lvl in part.levels:
-                new = _Level(block[lvl.beta], chain._identity)
-                new.own_gens = [(inflate(s, block, degree), inflate(s_inv, block, degree))
-                                for s, s_inv in lvl.own_gens]
-                new.transversal = {block[pt]: inflate(u, block, degree)
-                                   for pt, u in lvl.transversal.items()}
-                new.inverse = {block[pt]: inflate(u, block, degree)
-                               for pt, u in lvl.inverse.items()}
-                chain.levels.append(new)
+            part._relabel_into(chain, block, lambda x, block=block: inflate(x, block, degree))
         return chain
+
+    def conjugate(self, sigma: Permutation) -> "StabilizerChain":
+        """The chain of the group conjugated by sigma, relabelled without Schreier-Sims.
+
+        Each base point b becomes b^sigma, and each transversal element,
+        stored inverse and (g, g^-1) strong generator pair is conjugated by
+        sigma: u maps b to p exactly when u^sigma maps b^sigma to p^sigma,
+        and x moves b exactly when x^sigma moves b^sigma, so every level
+        keeps its orbit, its BFS order and its strong generators.
+        """
+        if len(sigma) != self.degree:
+            raise DegreeMismatch(f"degree {len(sigma)} conjugator for a degree {self.degree} chain")
+        chain = StabilizerChain(self.degree)
+        self._relabel_into(chain, sigma, lambda x: x.conj(sigma))
+        return chain
+
+    def copy(self) -> "StabilizerChain":
+        """An independent chain with the same levels, to grow without touching this one."""
+        chain = StabilizerChain(self.degree)
+        self._relabel_into(chain, self._identity, lambda x: x)
+        return chain
+
+    def _relabel_into(self, chain, point, element):
+        """Append this chain's levels to chain, each point p as point[p] and
+        each stored element x as element(x)."""
+        for lvl in self.levels:
+            new = _Level(point[lvl.beta], chain._identity)
+            new.own_gens = [(element(s), element(s_inv)) for s, s_inv in lvl.own_gens]
+            new.transversal = {point[pt]: element(u) for pt, u in lvl.transversal.items()}
+            new.inverse = {point[pt]: element(u) for pt, u in lvl.inverse.items()}
+            chain.levels.append(new)
 
     # -- queries ---------------------------------------------------------
 
@@ -249,6 +274,12 @@ class PermGroup:
 
     Immutable once the chain is built; all queries afterwards are read-only.
     order() and contains() answer from the element caches when they are filled.
+
+    A group made by split_group, whose decomposition into its factors the
+    library has proved, answers them from the factors instead, and its
+    chain is assembled from theirs (StabilizerChain.direct_product) only
+    when asked for.  Factors given to the constructor are a claim, not a
+    proof: such a group still reads its order from a Schreier-Sims chain.
     """
 
     def __init__(self, degree: int, generators=(), chain: Optional[StabilizerChain] = None,
@@ -269,6 +300,7 @@ class PermGroup:
         self.factors = factors
         self.provenance = provenance
         self._chain = chain
+        self._split = False     # set by split_group only
         self._cache: dict = {}
 
     # -- basics ----------------------------------------------------------
@@ -276,12 +308,20 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain.build(self.degree, self.generators)
+            if self._split:
+                self._chain = StabilizerChain.direct_product(
+                    self.degree, self.factors.blocks, [f.chain for f in self.factors.factor_groups])
+            else:
+                self._chain = StabilizerChain.build(self.degree, self.generators)
         return self._chain
 
     def order(self) -> int:
         known = self._cache.get("elements")
-        return self.chain.order() if known is None else len(known)
+        if known is not None:
+            return len(known)
+        if self._split:
+            return math.prod(f.order() for f in self.factors.factor_groups)
+        return self.chain.order()
 
     @property
     def identity(self) -> Permutation:
@@ -295,10 +335,21 @@ class PermGroup:
             return p in known
         elements = self._cache.get("elements")
         if elements is None:
+            if self._split:
+                return self._contains_blockwise(p)
             return self.chain.contains(p)
         # the sorted list answers a few lookups without building the set
         i = bisect_left(elements, p)
         return i < len(elements) and elements[i] == p
+
+    def _contains_blockwise(self, p: Permutation) -> bool:
+        """p maps each block onto itself and lies in the factor there."""
+        factors = self.factors
+        try:
+            parts = [deflate(p, block) for block in factors.blocks]
+        except KeyError:        # p moves a point out of its block
+            return False
+        return all(f.contains(x) for f, x in zip(factors.factor_groups, parts))
 
     def contains_group(self, other: "PermGroup") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -698,7 +749,8 @@ def intersect_groups(a: PermGroup, b: PermGroup, caps: Caps = DEFAULT_CAPS) -> P
 
 
 def deflate(p: Permutation, block) -> Permutation:
-    """Restrict p to a block it maps to itself, reindexed to 0..len(block)-1."""
+    """Restrict p to a block it maps to itself, reindexed to 0..len(block)-1;
+    KeyError when p moves a point of the block out of it."""
     pos = {pt: i for i, pt in enumerate(block)}
     return Permutation([pos[p[pt]] for pt in block], check=True)
 
@@ -779,7 +831,7 @@ def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str]
       the drain runs to its end, as in a plain build.
 
     When every generator fixes every block and the order is U, the group is
-    the direct product of the P_B and carries them as its factors.
+    the direct product of the P_B: a split_group with them as its factors.
     """
     group = PermGroup(degree, generators, provenance=provenance)
     gens = group.generators
@@ -835,9 +887,9 @@ def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str]
                                            [w.chain for _, w in parts])
     for s in gens:
         chain.add_generator(s, bound)
-    group._chain = chain
     if chain.order() == bound and all(a.is_identity for a in actions):
-        group.factors = DirectFactorStructure(blocks, tuple(projections))
+        return split_group(degree, gens, blocks, projections, chain=chain, provenance=provenance)
+    group._chain = chain
     return group
 
 
@@ -862,60 +914,114 @@ def decompose_blockwise(group: PermGroup, blocks, order: Optional[int] = None):
     return components
 
 
+def split_group(degree: int, generators, blocks, components, chain=None,
+                provenance: Optional[str] = None) -> PermGroup:
+    """<generators>, which the caller has proved to be the direct product of
+    the components (groups on 0..len(block)-1) over the partition blocks.
+
+    order() and contains() read the components; without a chain the group
+    assembles one from theirs when .chain is first asked for.
+    """
+    structure = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
+                                      factor_groups=tuple(components))
+    group = PermGroup(degree, generators, chain=chain, factors=structure, provenance=provenance)
+    group._split = True
+    return group
+
+
 def attach_block_structure(group: PermGroup, blocks,
                            order: Optional[int] = None) -> Optional[PermGroup]:
-    """Re-wrap group, keeping its chain and caches, with DirectFactorStructure
-    when the blocks partition its points and it is the direct product of its
+    """Re-wrap group, keeping its chain and caches, as a split_group when the
+    blocks partition its points and it is the direct product of its
     components over them (order as in decompose_blockwise), else None.
-
-    A group known only by its generators (a conjugate whose order the caller
-    gave) gets a chain assembled from the components' chains, not built.
     """
     if not is_partition(blocks, group.degree):
         return None
     components = decompose_blockwise(group, blocks, order)
     if components is None:
         return None
-    chain = group._chain
-    if chain is None and "elements" not in group._cache:
-        chain = StabilizerChain.direct_product(group.degree, blocks,
-                                               [c.chain for c in components])
-    structure = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
-                                      factor_groups=tuple(components))
-    structured = PermGroup(group.degree, group.generators, chain=chain,
-                           factors=structure, provenance=group.provenance)
+    structured = split_group(group.degree, group.generators, blocks, components,
+                             chain=group._chain, provenance=group.provenance)
     structured._cache.update(group._cache)
     return structured
 
 
+def split_conjugate(a: PermGroup, g: Permutation, conj_gens) -> Optional[PermGroup]:
+    """a^g, generated by conj_gens (a's generators ^ g), for a split_group a,
+    or None unless g maps every block of a onto a block.
+
+    Relabelling lemma: when g carries block i onto block j, it induces the
+    bijection sigma_i between their points in order, and (a^g)_j = a_i^sigma_i.
+    So a^g splits over the same blocks, and its components and their chains
+    are a's conjugated (StabilizerChain.conjugate); no Schreier-Sims runs.
+    """
+    blocks = a.factors.blocks
+    actions = _block_action([g], blocks)
+    if actions is None:
+        return None
+    moved = actions[0]
+    components = [None] * len(blocks)
+    for i, (block, part) in enumerate(zip(blocks, a.factors.factor_groups)):
+        position = {pt: k for k, pt in enumerate(blocks[moved[i]])}
+        sigma = Permutation([position[g[pt]] for pt in block], check=False)
+        components[moved[i]] = PermGroup(len(block), [x.conj(sigma) for x in part.generators],
+                                         chain=part.chain.conjugate(sigma))
+    return split_group(a.degree, conj_gens, blocks, components)
+
+
 def split_join(a: PermGroup, b: PermGroup) -> PermGroup:
-    """<a, b> for a and b split over the same partition (both from
-    attach_block_structure).
+    """<a, b> for split_groups a and b over the same blocks.
 
     When A = prod A_i and B = prod B_i over the blocks, <A, B> is
     prod <A_i, B_i>: it contains each inflated <A_i, B_i>, since A and B
     contain the inflated A_i and B_i, and it lies in the product of its
-    projections.  The join carries that structure and a chain assembled from
-    the components' chains, so no Schreier-Sims runs on the whole degree.
+    projections.  Each component is A_i itself when B_i lies in it, else
+    grown from a copy of A_i's chain by B_i's generators; no Schreier-Sims
+    runs from scratch, and none on the whole degree.
     """
     blocks = a.factors.blocks
     if b.factors.blocks != blocks:
         raise GroupError("split_join needs two groups split over the same blocks")
-    components = tuple(PermGroup(len(block), x.generators + y.generators)
-                       for block, x, y in zip(blocks, a.factors.factor_groups,
-                                              b.factors.factor_groups))
-    chain = StabilizerChain.direct_product(a.degree, blocks, [c.chain for c in components])
-    return PermGroup(a.degree, a.generators + b.generators, chain=chain,
-                     factors=DirectFactorStructure(blocks, components))
+    components = []
+    for x, y in zip(a.factors.factor_groups, b.factors.factor_groups):
+        if all(x.contains(s) for s in y.generators):
+            components.append(x)
+            continue
+        chain = x.chain.copy()
+        for s in y.generators:
+            chain.add_generator(s)
+        components.append(PermGroup(x.degree, x.generators + y.generators, chain=chain))
+    return split_group(a.degree, a.generators + b.generators, blocks, components)
 
 
 def combine_blockwise(parts, blocks, degree: int) -> Permutation:
-    """Merge one block-indexed permutation per block into a single element."""
-    images = list(range(degree))
+    """Merge one block-indexed permutation per block into a single element.
+
+    The images are gathered in C: block[part[i]] for every block, appended
+    to the identity's images, are read through the index of the blocks'
+    points (_gather_index), so a point outside every block keeps itself.
+    """
+    blocks = tuple(map(tuple, blocks))
+    if degree < 2:
+        return Permutation.identity(degree)
+    table = list(range(degree))
     for part, block in zip(parts, blocks):
-        for i, pt in enumerate(block):
-            images[pt] = block[part[i]]
-    return Permutation(images, check=False)
+        table.extend(map(block.__getitem__, part))
+    return tuple.__new__(Permutation, _gather_index(blocks, degree)(table))
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_index(blocks, degree: int):
+    """itemgetter reading, for each point, its slot in a table that holds
+    the identity's degree images followed by the images on each block in
+    turn; a point in no block reads its identity slot."""
+    index = list(range(degree))
+    slot = degree
+    for block in blocks:
+        for pt in block:
+            index[pt] = slot
+            slot += 1
+    return itemgetter(*index)
 
 
 # -- generator-file ingestion ----------------------------------------------

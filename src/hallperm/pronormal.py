@@ -24,12 +24,19 @@ scan that finds a conjugator after an orbit miss raises GroupError.
 
 Split-join lemma, used beyond enumeration: when the blocks of G partition
 the points, H is the direct product of its block components H_i (their
-orders multiply to |H|), and the components of H^g have orders multiplying
-to |H| = |H^g|, then J = prod <H_i, (H^g)_i>.  J contains each inflated
-component join and lies in the product of its projections.  So J and H^g
-get a DirectFactorStructure and a chain assembled from the component chains
-(StabilizerChain.direct_product), and no Schreier-Sims runs on the whole
-degree.  Where H does not split, or G is enumerable, J is formed as before.
+orders multiply to |H|) and H^g splits over them too, then
+J = prod <H_i, (H^g)_i>.  J contains each inflated component join and lies
+in the product of its projections.  When g maps block i onto block j, it
+induces the bijection sigma_i between their points, and (H^g)_j is
+H_i^sigma_i, so H^g's component chains are H's relabelled
+(StabilizerChain.conjugate); a g that does not map the blocks onto blocks
+gets H^g's components projected, with their orders checked against |H|.
+Each <H_i, (H^g)_i> is H_i when (H^g)_i lies in it, else grown from a copy
+of H_i's chain.  H^g and J are split groups: order() and contains() read
+the components, and a chain on the whole degree is assembled from theirs
+(StabilizerChain.direct_product) only when asked for, which deciding and
+replaying never do.  Where H does not split, or G is enumerable, J is
+formed as before.
 
 Strong pronormality asks the same orbit question on the right cosets of
 N_G(K): some x in <H, K^g> has K^(gx) <= H exactly when the orbit of
@@ -44,7 +51,8 @@ from typing import Optional
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure,
                     decompose_blockwise, inflate, intersect_groups, is_partition,
-                    normal_closure, right_cosets, right_transversal, split_join, subgroup_check)
+                    normal_closure, right_cosets, right_transversal, split_conjugate, split_join,
+                    subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer,
                        conjugate_into, is_normal, normalizer, subgroup_classes)
@@ -190,19 +198,25 @@ def _joint_of(h: PermGroup, conj_gens, blocks, index=None) -> PermGroup:
     return joint
 
 
-def _split_instance(h: PermGroup, conj_gens, blocks):
+def _split_instance(h: PermGroup, g: Permutation, conj_gens, blocks):
     """(joint, h, h^g) for a parent beyond enumeration, split over blocks by
-    the split-join lemma when it applies; each group's components are
-    computed here once, and no chain is built on the whole degree.
+    the split-join lemma when it applies; conj_gens are h's generators ^ g.
 
     The lemma needs h = prod h_i over the partition blocks (h's own order
-    checks it) and components of h^g whose orders multiply to |h| = |h^g|;
-    otherwise the joint's chain is built by Schreier-Sims and
-    attach_block_structure looks for its split, as in _joint_of.
+    checks it) and h^g split over them too.  When g maps every block onto a
+    block, h^g's components are h's relabelled (split_conjugate); otherwise
+    they are projected, and their orders must multiply to |h| = |h^g|.  The
+    joint's components are grown from h's (split_join), and no chain is
+    built on the whole degree.  Where h does not split, the joint's chain is
+    built by Schreier-Sims and attach_block_structure looks for its split,
+    as in _joint_of.
     """
     hg = PermGroup(h.degree, conj_gens)
     split_h = attach_block_structure(h, blocks) if blocks else None
-    split_hg = attach_block_structure(hg, blocks, h.order()) if split_h is not None else None
+    split_hg = None
+    if split_h is not None:
+        split_hg = (split_conjugate(split_h, g, conj_gens)
+                    or attach_block_structure(hg, blocks, h.order()))
     if split_hg is None:
         return _joint_of(h, conj_gens, blocks), h, hg
     return split_join(split_h, split_hg), split_h, split_hg
@@ -219,7 +233,7 @@ def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
     """
     blocks = parent.factors and parent.factors.blocks
     if norm is None:
-        joint, h_split, hg = _split_instance(h, conj_gens, blocks)
+        joint, h_split, hg = _split_instance(h, g, conj_gens, blocks)
         if joint.contains(g):
             return PronormalityReport(h, parent, True, checked_coset_count=1)
     elif _joint_meets_coset(parent, norm, h.generators + tuple(conj_gens), g, {0}, caps):
@@ -332,7 +346,7 @@ def replay_non_pronormality(parent: PermGroup, h: PermGroup, g: Permutation, joi
         return False, "witness g is outside the ambient group"
     if blocks is not None and not is_partition(blocks, parent.degree):
         return False, f"blocks do not partition the points 0..{parent.degree - 1}"
-    joint, h, hg = _split_instance(h, tuple(x.conj(g) for x in h.generators), blocks)
+    joint, h, hg = _split_instance(h, g, tuple(x.conj(g) for x in h.generators), blocks)
     if joint.order() != joint_order:
         return False, "joint order mismatch"
     status, data = _decide_in_joint(joint, h, hg, caps)

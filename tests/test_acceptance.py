@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import blockwise_equivalence_instance
+from conftest import blockwise_equivalence_instance, lattice_oracle
 
 CLI = [sys.executable, "-m", "hallperm"]
 
@@ -79,12 +79,12 @@ def test_criterion_2_stabilizer_scenario(cert_dir, criterion):
 def test_criterion_3_wreath_counterexample(cert_dir, criterion):
     with criterion(3, "wreath Hall pair: H^tau = K, blockwise non-conjugate in the joint"):
         # prerequisite oracle: the base group has exactly 2 classes of
-        # order-24 subgroups, by full-lattice brute force
+        # order-24 subgroups, by full-lattice brute force (conftest's join
+        # search, not the library's enumerator)
         from hallperm.constructions import psl2
-        from hallperm.subgroup import all_subgroups, subgroup_conjugacy_classes
+        from hallperm.subgroup import subgroup_conjugacy_classes
         base = psl2(7)
-        order24 = [s.group for s in all_subgroups(base, order_divides=24)
-                   if s.order() == 24]
+        order24 = [k for k in lattice_oracle(base) if k.order() == 24]
         classes = subgroup_conjugacy_classes(base, order24)
         assert len(classes) == 2
 

@@ -334,6 +334,14 @@ def _merge_first_blocks(joint):
     joint["scanned"] = 4032
 
 
+def _interleave_blocks(joint):
+    # the residue classes mod 5, with points 0 and 1 swapped: a partition
+    # into 5 blocks of 8 that the shift does not map onto blocks
+    blocks = [[pt for pt in range(40) if pt % 5 == j] for j in range(5)]
+    blocks[0][0], blocks[1][0] = blocks[1][0], blocks[0][0]
+    joint["blocks"] = blocks
+
+
 _FORGERIES = {
     "tower sym:3 genuine": ("sylow-tower", lambda: _s3_tower([2, 3], True), True),
     "tower sym:3 complexion misses 3": ("sylow-tower", lambda: _s3_tower([2], False), False),
@@ -378,6 +386,14 @@ _FORGERIES = {
     # a coarser true partition keeps the claim true
     "wreath blocks 0 and 1 merged": ("non-pronormality",
                                      lambda: _wreath_forgery(_merge_first_blocks), True),
+    # partitions the witness does not map onto blocks: H does not split over
+    # the first, and over the second the recorded scan is that of the
+    # natural blocks
+    "wreath interleaved blocks": ("non-pronormality",
+                                  lambda: _wreath_forgery(_interleave_blocks), False),
+    "wreath blocks 0 and 1 merged, scan kept": ("non-pronormality", lambda: _wreath_forgery(
+        lambda joint: joint.update(blocks=[joint["blocks"][0] + joint["blocks"][1]]
+                                   + joint["blocks"][2:])), False),
     # orders the block bound could be fooled into accepting: the base
     # product's, and ones above the true order
     "wreath group order 168^5": ("non-pronormality", lambda: _edited_wreath_certificate(
@@ -464,6 +480,8 @@ def test_scenario_certificate_digests_are_pinned(name):
     ("wreath block holds point 99", "do not partition"),
     ("wreath duplicated block", "do not partition"),
     ("wreath overlapping blocks", "do not partition"),
+    ("wreath interleaved blocks", "status capped"),
+    ("wreath blocks 0 and 1 merged, scan kept", "rescan gives"),
     ("wreath group order 168^5", "rebuilt group has order"),
     ("wreath group order doubled", "rebuilt group has order"),
     ("wreath subject order doubled", "rebuilt group has order"),
@@ -485,18 +503,30 @@ def test_transcript_scan_count_must_match_the_joint():
 
 
 def test_wreath_replay_builds_no_chain_on_the_whole_degree(monkeypatch):
-    # G and H are rebuilt from the recorded blocks, and the replay's split of
-    # H reuses the component chains that H's rebuild made
+    # G and H are rebuilt from the recorded blocks, the replay's split of H
+    # reuses the component chains that H's rebuild made, and H^g's and the
+    # joint's components are relabelled and grown from them: every chain
+    # build happens inside group_over_blocks, and none on the whole degree
     from hallperm import pronormal
     from hallperm.group import StabilizerChain
     cert = json.loads(_wreath_certificate_text())
     builds = []
+    inside = []
     build = StabilizerChain.build.__func__
 
     def counted(cls, degree, gens):
         chain = build(cls, degree, gens)
-        builds.append((degree, chain))
+        builds.append((degree, chain, bool(inside)))
         return chain
+
+    over_blocks = certs.group_over_blocks
+
+    def rebuild(*args, **kwargs):
+        inside.append(True)
+        try:
+            return over_blocks(*args, **kwargs)
+        finally:
+            inside.pop()
 
     splits = []
     attach = pronormal.attach_block_structure
@@ -506,10 +536,12 @@ def test_wreath_replay_builds_no_chain_on_the_whole_degree(monkeypatch):
         return splits[-1][1]
 
     monkeypatch.setattr(StabilizerChain, "build", classmethod(counted))
+    monkeypatch.setattr(certs, "group_over_blocks", rebuild)
     monkeypatch.setattr(pronormal, "attach_block_structure", split)
     assert certs.verify_certificate(cert)[0]
-    assert builds and 40 not in {degree for degree, _ in builds}
+    assert builds and 40 not in {degree for degree, _, _ in builds}
+    assert all(in_rebuild for _, _, in_rebuild in builds)
     made_before, split_h = splits[0]
-    rebuilt = [chain for _, chain in builds[:made_before]]
+    rebuilt = [chain for _, chain, _ in builds[:made_before]]
     for component in split_h.factors.factor_groups:
         assert any(component._chain is chain for chain in rebuilt)

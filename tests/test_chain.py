@@ -144,6 +144,26 @@ def test_assembled_chain_agrees_with_schreier_sims_on_seeded_elements(split_wrea
     assert True in verdicts and False in verdicts
 
 
+def test_split_membership_agrees_with_schreier_sims(split_wreath_joint):
+    # the joint answers contains() block by block: words in G mostly move
+    # the blocks, words in the base product fix every block but mostly have
+    # a component outside U on blocks 1-3, and words in the joint's
+    # generators lie in it
+    group, built, joint = split_wreath_joint
+    tau = group.generators[-1]
+    base_gens = [x.conj(tau ** k) for k in range(5) for x in group.generators[:-1]]
+    rng = random.Random(17)
+    verdicts = []
+    for gens in (group.generators, base_gens, joint.generators):
+        for _ in range(40):
+            x = group.identity
+            for _ in range(20):
+                x = x * rng.choice(gens)
+            verdicts.append(joint.contains(x))
+            assert verdicts[-1] == built.contains(x)
+    assert False in verdicts[40:80] and all(verdicts[80:])
+
+
 PRODUCTS = tuple(e.name for e in build_catalog(2000) if e.name.startswith("product("))
 
 
@@ -273,3 +293,60 @@ def test_chain_over_blocks_falls_back_to_the_plain_build(blocks):
     blocked = group_over_blocks(6, group.generators, blocks)
     assert blocked._chain is None and blocked.factors is None
     assert _chain_digest(blocked.chain) == _chain_digest(_chain(group))
+
+
+# -- chains relabelled by a conjugator, and grown from a copy ----------------
+
+
+def _eight_point_components():
+    """The 8-point components of the theorem3 pair: V, U, and the joint
+    components <V, U> and <U, U^x> that split_join grows from them."""
+    base = parse_group_spec("psl2:7")
+    u, v = (rep.group for rep in hall_subgroups(base, {2, 3})[:2])
+    x = base.generators[0]
+    return [("V", v), ("U", u), ("<V,U>", PermGroup(8, v.generators + u.generators)),
+            ("<U,U^x>", PermGroup(8, u.generators + tuple(s.conj(x) for s in u.generators)))]
+
+
+_CONJUGATED = [(spec, None) for spec in SMALL] + [("psl2:7 wr 5", name) for name in
+                                                    ("V", "U", "<V,U>", "<U,U^x>")]
+
+
+@pytest.mark.parametrize("spec, component", _CONJUGATED)
+def test_conjugated_chain_is_the_chain_of_the_conjugate(spec, component):
+    group = (parse_group_spec(spec) if component is None
+             else dict(_eight_point_components())[component])
+    n = group.degree
+    rng = random.Random(13)
+    for sigma in (Permutation.identity(n), Permutation(rng.sample(range(n), n)),
+                  Permutation(rng.sample(range(n), n))):
+        before = _chain_digest(group.chain)
+        chain = group.chain.conjugate(sigma)
+        chain.check_invariants()
+        assert _chain_digest(group.chain) == before
+        assert chain.base == tuple(sigma[b] for b in group.chain.base)
+        assert set(chain.iter_elements()) == {x.conj(sigma) for x in group.elements()}
+        built = StabilizerChain.build(n, [x.conj(sigma) for x in group.generators])
+        others = [Permutation(rng.sample(range(n), n)) for _ in range(100)]
+        members = [x.conj(sigma) for x in group.elements()[::max(1, group.order() // 50)]]
+        assert [chain.contains(x) for x in members + others] == \
+            [built.contains(x) for x in members + others]
+        assert all(chain.contains(x) for x in members)
+
+
+def test_conjugate_rejects_a_conjugator_of_another_degree():
+    from hallperm.errors import DegreeMismatch
+    with pytest.raises(DegreeMismatch):
+        _chain(parse_group_spec("sym:4")).conjugate(Permutation.identity(5))
+
+
+def test_a_grown_copy_leaves_its_source_unchanged():
+    components = dict(_eight_point_components())
+    v, u = components["V"], components["U"]
+    before = _chain_digest(v.chain)
+    grown = v.chain.copy()
+    for s in u.generators:
+        grown.add_generator(s)
+    grown.check_invariants()
+    assert _chain_digest(v.chain) == before and v.chain.order() == 24
+    assert grown.order() == components["<V,U>"].order() == 168

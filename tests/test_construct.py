@@ -91,6 +91,25 @@ def test_direct_product():
     assert five.degree == 40 and five.order() == 168 ** 5
 
 
+def test_declared_factors_are_checked_against_a_chain(psl27):
+    # factors given to a constructor are a claim, not a proof: the order
+    # check reads a Schreier-Sims chain, so a false structure is caught
+    from hallperm.constructions import _self_check
+    from hallperm.errors import GroupError
+    from hallperm.group import DirectFactorStructure, PermGroup, inflate
+    s3 = symmetric(3)
+    blocks = ((0, 1, 2), (3, 4, 5))
+    diagonal = [inflate(g, blocks[0], 6) * inflate(g, blocks[1], 6) for g in s3.generators]
+    forged = PermGroup(6, diagonal, factors=DirectFactorStructure(blocks, (s3, s3)))
+    with pytest.raises(GroupError, match="order 6 != expected 36"):
+        _self_check(forged, 36, "forged product")
+    u, v = hall_subgroups(psl27, {2, 3})
+    pair = wreath_hall_pair(psl27, u, v, {2, 3}, 5)
+    checked = [direct_product([s3, s3]), pair.wreath.base_product.group,
+               pair.hall_first.group, pair.hall_second.group]
+    assert all(group._chain is not None and not group._split for group in checked)
+
+
 def test_wreath_regular_invariants():
     s3 = symmetric(3)
     datum = wreath_regular(s3, 2)

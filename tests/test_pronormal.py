@@ -399,32 +399,84 @@ def test_strong_scan_contradicting_an_orbit_miss_is_an_error(monkeypatch, sym5):
         is_strongly_pronormal(sym5, sylow(sym5, 2).group)
 
 
-def test_wreath_instances_build_no_chain_on_the_whole_degree(monkeypatch):
-    # the split-join lemma assembles the joint's chain from 8-point ones
-    import random
+@pytest.fixture(scope="module")
+def theorem3_pair():
+    """G = psl2:7 wr Z_5, its Hall subgroup H and the shift tau, with the
+    chains that check G and H built."""
     from hallperm.catalog import parse_group_spec
-    from hallperm.group import StabilizerChain
     base = parse_group_spec("psl2:7")
     u, v = hall_subgroups(base, {2, 3})[:2]
     pair = wreath_hall_pair(base, u, v, {2, 3}, 5)
     group, h = pair.wreath.group, pair.hall_first.group
-    assert group.order() and h.order()     # the chains that check G and H, built once
+    assert group.order() and h.order()
+    return group, h, pair.tau
+
+
+def _seeded_witnesses(group, tau, words_each):
+    """The shift powers, then words in G's generators and in those of the
+    base copy on block 0, drawn from a fixed seed."""
+    import random
     rng = random.Random(1)
-    seeded = []
-    # words in G's generators, then in those of the base copy on block 0
+    seeded = [tau ** k for k in range(1, 5)]
     for gens in (group.generators, group.generators[:-1]):
-        for _ in range(3):
+        for _ in range(words_each):
             g = group.identity
             for _ in range(20):
                 g = g * rng.choice(gens)
             seeded.append(g)
-    degrees = []
+    return seeded
+
+
+def test_wreath_instances_build_no_chain_on_the_whole_degree(monkeypatch, theorem3_pair):
+    # once H is warm, H^g's components are relabelled from H's, the joint's
+    # grown from them, and no chain is assembled on the whole degree
+    from hallperm.group import StabilizerChain
+    group, h, tau = theorem3_pair
+    assert pronormality_instance(group, h, tau).verdict is False  # warms H's components
+    calls = []
     build = StabilizerChain.build.__func__
+    assemble = StabilizerChain.direct_product.__func__
     monkeypatch.setattr(StabilizerChain, "build", classmethod(
-        lambda cls, degree, gens: degrees.append(degree) or build(cls, degree, gens)))
-    verdicts = [pronormality_instance(group, h, g).verdict for g in [pair.tau] + seeded]
+        lambda cls, degree, gens: calls.append(("build", degree)) or build(cls, degree, gens)))
+    monkeypatch.setattr(StabilizerChain, "direct_product", classmethod(
+        lambda cls, degree, *args: calls.append(("direct_product", degree))
+        or assemble(cls, degree, *args)))
+    verdicts = [pronormality_instance(group, h, g).verdict
+                for g in _seeded_witnesses(group, tau, 3)]
     assert verdicts[0] is False and True in verdicts
-    assert degrees and set(degrees) == {8}
+    assert calls == []
+
+
+def test_relabelled_split_path_agrees_with_schreier_sims(theorem3_pair):
+    # the relabelled and seeded path against the one it replaced: the joint
+    # built by Schreier-Sims on 40 points, projected onto the blocks, with
+    # H^g's components projected and built on 8 points
+    from hallperm.group import attach_block_structure
+    from hallperm.pronormal import _decide_in_joint, _joint_of, _split_instance
+    from hallperm.errors import DEFAULT_CAPS
+    group, h, tau = theorem3_pair
+    blocks = group.factors.blocks
+    seeded = _seeded_witnesses(group, tau, 18)
+    outcomes = []
+    for g in seeded:
+        conj_gens = tuple(x.conj(g) for x in h.generators)
+        joint, _, hg = _split_instance(h, g, conj_gens, blocks)
+        old = _joint_of(h, conj_gens, blocks)
+        old_hg = attach_block_structure(PermGroup(h.degree, conj_gens), blocks, h.order())
+        assert joint.order() == old.chain.order() == old.order()
+        for new_parts, old_parts in ((joint.factors.factor_groups, old.factors.factor_groups),
+                                     (hg.factors.factor_groups, old_hg.factors.factor_groups)):
+            assert [c.element_set() for c in new_parts] == [c.element_set() for c in old_parts]
+        report = pronormality_instance(group, h, g)
+        if old.chain.contains(g):
+            expected = (True, None)
+        else:
+            status, data = _decide_in_joint(old, h, old_hg, DEFAULT_CAPS)
+            expected = (True, None) if status == "found" else (False, data)
+        fail = report.failure
+        assert (report.verdict, fail and (fail.mode, fail.scanned, fail.failing_block)) == expected
+        outcomes.append(report.verdict)
+    assert len(seeded) == 40 and True in outcomes and False in outcomes
 
 
 def test_normal_subject_leaves_no_coset_table():
