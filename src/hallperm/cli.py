@@ -17,7 +17,7 @@ from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .hall import classify, hall_subgroups, pi_part
 from .numth import is_prime
 from .pronormal import is_pronormal, is_strongly_pronormal, pronormality_instance
-from .subgroup import is_conjugate
+from .subgroup import ConjugacyWitness
 from .suites import PROBE_IDS, SUITE_NAMES, run_probe, run_suite
 from .constructions import (pointwise_stabilizer, sl2, sl2_subfield_embedding,
                             stabilizer_in_claimed_range, wreath_hall_pair)
@@ -177,10 +177,8 @@ def cmd_theorem3(args) -> int:
     print(f"H, K orders: {h.order()}, {k.order()} (pi-part {target}:"
           f" {'verified' if h.order() == k.order() == target else 'MISMATCH'})")
     tau = pair.tau
-    witness = is_conjugate(g, h, k, caps)
     tau_ok = all(k.contains(x.conj(tau)) for x in h.generators)
     print(f"H^tau = K: {'verified' if tau_ok else 'MISMATCH'}")
-    from .subgroup import ConjugacyWitness
     _write(certs.conjugacy_witness_certificate(g, ConjugacyWitness(tau, h, k)), args.out)
     inst = pronormality_instance(g, h, tau, caps)
     if inst.verdict is False:

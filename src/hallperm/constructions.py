@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from .errors import GroupError, Caps, DEFAULT_CAPS
-from .group import DirectFactorStructure, GroupHom, PermGroup, Permutation, inflate
+from .group import DirectFactorStructure, GroupHom, PermGroup, Permutation, inflate, split_group
 from .hall import is_hall_subgroup, pi_part
 from .numth import is_prime, prime_divisors
 from .subgroup import Subgroup, is_conjugate
@@ -384,7 +384,12 @@ def _match_on_points(big_group: PermGroup, point_map, small_gen: Permutation, ca
 
 
 def direct_product(groups, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Disjoint-support direct product with block structure attached."""
+    """Disjoint-support direct product: a split_group over consecutive blocks.
+
+    The order is checked on a Schreier-Sims chain of the generators before
+    the block structure is set, so the check never reads the factors; the
+    split group keeps that chain.
+    """
     groups = list(groups)
     if not groups:
         raise ValueError("at least one factor required")
@@ -399,12 +404,13 @@ def direct_product(groups, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         blocks.append(block)
         gens.extend(inflate(x, block, degree) for x in g.generators)
         offset += g.degree
-    structure = DirectFactorStructure(blocks=tuple(blocks), factor_groups=tuple(groups))
     prov = None
     if all(g.provenance for g in groups):
         prov = "product(" + ",".join(g.provenance for g in groups) + ")"
-    product = PermGroup(degree, gens, factors=structure, provenance=prov)
-    return _self_check(product, math.prod(g.order() for g in groups), "direct_product")
+    product = _self_check(PermGroup(degree, gens), math.prod(g.order() for g in groups),
+                          "direct_product")
+    return split_group(degree, product.generators, blocks, groups, chain=product.chain,
+                       provenance=prov)
 
 
 @dataclass(frozen=True)
@@ -436,23 +442,20 @@ def wreath_regular(base: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Wreath
     degree = p * n
     blocks = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(p))
     tau = Permutation([(pt - n) % degree for pt in range(degree)], check=True)
-    block_gens = [inflate(g, blocks[i], degree) for i in range(p) for g in base.generators]
-    y_structure = DirectFactorStructure(blocks=blocks, factor_groups=(base,) * p)
-    y = PermGroup(degree, block_gens, factors=y_structure)
-    g_structure = DirectFactorStructure(blocks=blocks, factor_groups=(base,) * p, shift=tau)
     prov = f"wreath({base.provenance},{p})" if base.provenance else None
     group = PermGroup(degree, [inflate(g, blocks[0], degree) for g in base.generators] + [tau],
-                      factors=g_structure, provenance=prov)
+                      provenance=prov)
     if (tau ** p) != group.identity:
         raise GroupError("shift does not have order p")
     for g in base.generators:
         for i in range(p):
             if inflate(g, blocks[i], degree).conj(tau) != inflate(g, blocks[(i - 1) % p], degree):
                 raise GroupError("shift does not rotate the block embeddings")
-    _self_check(y, base.order() ** p, "wreath base product")
     _self_check(group, base.order() ** p * p, "wreath product")
+    group.factors = DirectFactorStructure(blocks=blocks, factor_groups=(base,) * p, shift=tau)
     return WreathDatum(base=base, p=p, group=group,
-                       base_product=Subgroup(group, y), tau=tau, blocks=blocks)
+                       base_product=Subgroup(group, direct_product([base] * p, caps)),
+                       tau=tau, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -493,26 +496,15 @@ def wreath_hall_pair(base: PermGroup, u, v, pi, p: int,
     if is_conjugate(base, u, v, caps) is not None:
         raise ValueError("u and v must be non-conjugate in the base")
     datum = wreath_regular(base, p, caps)
-    degree = datum.group.degree
-    blocks = datum.blocks
-
-    def build(parts):
-        gens = []
-        for i, part in enumerate(parts):
-            gens.extend(inflate(g, blocks[i], degree) for g in part.generators)
-        structure = DirectFactorStructure(blocks=blocks, factor_groups=tuple(parts))
-        return PermGroup(degree, gens, factors=structure)
-
-    h = build([v] + [u] * (p - 1))
-    k = build([u] * (p - 1) + [v])
+    h = direct_product([v] + [u] * (p - 1), caps)
+    k = direct_product([u] * (p - 1) + [v], caps)
     target = pi_part(datum.group.order(), pi)
     for name, grp in (("H", h), ("K", k)):
         if grp.order() != target:
             raise GroupError(f"{name} does not have the pi-Hall order")
     tau = datum.tau
-    k_chain = k
     for g in h.generators:
-        if not k_chain.contains(g.conj(tau)):
+        if not k.contains(g.conj(tau)):
             raise GroupError("H^tau = K failed replay")
     return WreathHallPair(wreath=datum, pi=pi,
                           hall_first=Subgroup(datum.group, h),

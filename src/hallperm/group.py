@@ -258,10 +258,12 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class DirectFactorStructure:
-    """Block decomposition metadata for direct products and wreath bases.
+    """A block decomposition the library has proved for the group carrying it.
 
     blocks hold the point sets of the factors (sorted tuples); shift, when
-    present, cyclically permutes the blocks (wreath products).
+    present, cyclically permutes the blocks (wreath products).  The group's
+    order is the product of the factors' orders, times the shift's order
+    when there is one.
     """
 
     blocks: tuple
@@ -275,15 +277,16 @@ class PermGroup:
     Immutable once the chain is built; all queries afterwards are read-only.
     order() and contains() answer from the element caches when they are filled.
 
-    A group made by split_group, whose decomposition into its factors the
-    library has proved, answers them from the factors instead, and its
-    chain is assembled from theirs (StabilizerChain.direct_product) only
-    when asked for.  Factors given to the constructor are a claim, not a
-    proof: such a group still reads its order from a Schreier-Sims chain.
+    factors is None or a block decomposition the library has proved: only
+    split_group, for a direct product of its factors, and wreath_regular,
+    after checking the order on a Schreier-Sims chain, set it.  A group
+    whose factors have no shift is split: it answers order() and contains()
+    from the factors, and its chain is assembled from theirs
+    (StabilizerChain.direct_product) only when asked for.
     """
 
     def __init__(self, degree: int, generators=(), chain: Optional[StabilizerChain] = None,
-                 factors: Optional[DirectFactorStructure] = None, provenance: Optional[str] = None):
+                 provenance: Optional[str] = None):
         gens = []
         seen = set()
         for g in generators:
@@ -297,10 +300,9 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self.factors = factors
+        self.factors: Optional[DirectFactorStructure] = None
         self.provenance = provenance
         self._chain = chain
-        self._split = False     # set by split_group only
         self._cache: dict = {}
 
     # -- basics ----------------------------------------------------------
@@ -308,9 +310,10 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            if self._split:
+            factors = self.factors
+            if factors is not None and factors.shift is None:
                 self._chain = StabilizerChain.direct_product(
-                    self.degree, self.factors.blocks, [f.chain for f in self.factors.factor_groups])
+                    self.degree, factors.blocks, [f.chain for f in factors.factor_groups])
             else:
                 self._chain = StabilizerChain.build(self.degree, self.generators)
         return self._chain
@@ -319,8 +322,9 @@ class PermGroup:
         known = self._cache.get("elements")
         if known is not None:
             return len(known)
-        if self._split:
-            return math.prod(f.order() for f in self.factors.factor_groups)
+        factors = self.factors
+        if factors is not None and factors.shift is None:
+            return math.prod(f.order() for f in factors.factor_groups)
         return self.chain.order()
 
     @property
@@ -335,7 +339,8 @@ class PermGroup:
             return p in known
         elements = self._cache.get("elements")
         if elements is None:
-            if self._split:
+            factors = self.factors
+            if factors is not None and factors.shift is None:
                 return self._contains_blockwise(p)
             return self.chain.contains(p)
         # the sorted list answers a few lookups without building the set
@@ -919,13 +924,15 @@ def split_group(degree: int, generators, blocks, components, chain=None,
     """<generators>, which the caller has proved to be the direct product of
     the components (groups on 0..len(block)-1) over the partition blocks.
 
-    order() and contains() read the components; without a chain the group
-    assembles one from theirs when .chain is first asked for.
+    The one maker of shift-free factors: each caller passes a proof, never
+    a claim (an order checked on a chain or against a bound, or the
+    relabelling and split-join lemmas).  order() and contains() read the
+    components; without a chain the group assembles one from theirs when
+    .chain is first asked for.
     """
-    structure = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
-                                      factor_groups=tuple(components))
-    group = PermGroup(degree, generators, chain=chain, factors=structure, provenance=provenance)
-    group._split = True
+    group = PermGroup(degree, generators, chain=chain, provenance=provenance)
+    group.factors = DirectFactorStructure(blocks=tuple(tuple(b) for b in blocks),
+                                          factor_groups=tuple(components))
     return group
 
 

@@ -54,8 +54,8 @@ from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure
                     normal_closure, right_cosets, right_transversal, split_conjugate, split_join,
                     subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
-from .subgroup import (_as_group, _blockwise_structure_usable, _normalizer,
-                       conjugate_into, is_normal, normalizer, subgroup_classes)
+from .subgroup import (_as_group, _normalizer, conjugate_into, is_normal, normalizer,
+                       subgroup_classes)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _decide_in_joint(joint: PermGroup, h: PermGroup, hg: PermGroup, caps: Caps):
         if x is not None:
             return "found", x
         return "absent", ("exhaustive", scanned, None)
-    structure = _blockwise_structure_usable(joint)
+    structure = joint.factors
     if structure is not None and structure.shift is None:
         h_parts = decompose_blockwise(h, structure.blocks)
         g_parts = decompose_blockwise(hg, structure.blocks)
@@ -276,15 +276,17 @@ def pronormality_instance(parent: PermGroup, h, g: Permutation,
 def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> PronormalityReport:
     """Full pronormality test of h in parent.
 
-    Shiftless direct products reduce blockwise (conjugators, joints and the
-    quantifier all decompose).  A wreath-type ambient beyond enumeration is
-    probed on the shift powers: a failure there is definitive, success alone
-    is not, and the report says so.
+    A parent beyond enumeration is read through its factors, which the
+    library has proved (see PermGroup).  Shift-free ones reduce blockwise
+    (conjugators, joints and the quantifier all decompose), and a failing
+    factor's g, lifted to its block, is decided as one instance.  A wreath
+    ambient is probed on the shift powers: a failure there is definitive,
+    success alone is not, and the report says so.
     """
     h = _as_group(h)
     subgroup_check(parent, h)
 
-    structure = _blockwise_structure_usable(parent)
+    structure = parent.factors
     if structure is not None and structure.shift is None and parent.order() > caps.enum_cap:
         parts = decompose_blockwise(h, structure.blocks)
         if parts is not None:

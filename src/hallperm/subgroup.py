@@ -8,13 +8,12 @@ one and reruns produce identical output.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, NumberClosure, PermGroup, Permutation, combine_blockwise,
-                    decompose_blockwise, group_from_elements, inflate, orbit, pick_generators,
+                    decompose_blockwise, group_from_elements, orbit, pick_generators,
                     right_transversal, subgroup_check, trivial_group)
 from .numth import is_p_power, is_prime, p_part, prime_divisors
 
@@ -82,11 +81,10 @@ def is_normal(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def normalizer(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> Subgroup:
-    """N_parent(sub) = {g : sub^g = sub}.
+    """N_parent(sub) = {g : sub^g = sub}, by a scan of the parent's elements.
 
-    Scans the parent's elements when it is enumerable; for a shiftless direct
-    product with a blockwise-decomposable subgroup the normalizer is the
-    product of the per-block normalizers instead.
+    CapExceeded("enum_cap") when the parent is beyond enumeration, whatever
+    block structure it carries.
     """
     sub = _as_group(sub)
     subgroup_check(parent, sub)
@@ -108,36 +106,16 @@ def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) ->
     if cached is not None:
         return parent if cached is _WHOLE else cached
 
-    if parent.order() <= caps.enum_cap:
-        sub_set = sub.element_set(caps)
-        gens = sub.generators
-        elements = parent.elements(caps)
-        members = [g for g in elements if all(h.conj(g) in sub_set for h in gens)]
-        if len(members) == len(elements):
-            parent._cache[cache_key] = _WHOLE
-            return parent
-        result = group_from_elements(parent.degree, members)
-    else:
-        result = _normalizer_blockwise(parent, sub, caps)
-        if result is None:
-            raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
+    elements = parent.elements(caps)
+    sub_set = sub.element_set(caps)
+    gens = sub.generators
+    members = [g for g in elements if all(h.conj(g) in sub_set for h in gens)]
+    if len(members) == len(elements):
+        parent._cache[cache_key] = _WHOLE
+        return parent
+    result = group_from_elements(parent.degree, members)
     parent._cache[cache_key] = result
     return result
-
-
-def _normalizer_blockwise(parent: PermGroup, sub: PermGroup, caps: Caps):
-    structure = _blockwise_structure_usable(parent)
-    if structure is None or structure.shift is not None:
-        return None
-    blocks = structure.blocks
-    parts = decompose_blockwise(sub, blocks)
-    if parts is None:
-        return None
-    gens = []
-    for block, factor, part in zip(blocks, structure.factor_groups, parts):
-        n_block = normalizer(factor, part, caps).group
-        gens.extend(inflate(g, block, parent.degree) for g in n_block.generators)
-    return PermGroup(parent.degree, gens)
 
 
 def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
@@ -345,18 +323,6 @@ def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_C
     return classes
 
 
-def _blockwise_structure_usable(parent: PermGroup):
-    structure = parent.factors
-    if structure is None:
-        return None
-    expected = math.prod(f.order() for f in structure.factor_groups)
-    if structure.shift is not None:
-        expected *= structure.shift.order()
-    if expected != parent.order():
-        return None
-    return structure
-
-
 def _is_conjugate_blockwise(parent: PermGroup, h: PermGroup, k: PermGroup, caps: Caps):
     """Blockwise conjugacy for (shifted) direct products.
 
@@ -365,7 +331,7 @@ def _is_conjugate_blockwise(parent: PermGroup, h: PermGroup, k: PermGroup, caps:
     conjugator y*shift^j rotates the block components by j, so each rotation
     is tried with per-block searches in the factors.
     """
-    structure = _blockwise_structure_usable(parent)
+    structure = parent.factors
     if structure is None:
         return "na", None
     blocks = structure.blocks

@@ -383,19 +383,18 @@ def run_suite(name: str, max_order: int, caps: Caps = DEFAULT_CAPS, jobs: int = 
     if name not in _GROUP_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('probe9', 'probe11')}")
     start = time.time()
-    entries = build_catalog(max_order, caps)
+    # spec names only: each task parses its group afresh, so no group and
+    # none of its caches outlive its task
+    tasks = [(name, entry.name, caps) for entry in build_catalog(max_order, caps)]
     total = SuiteResult(name=name)
-    if jobs > 1 and len(entries) > 1:
+    if jobs > 1 and len(tasks) > 1:
         import multiprocessing
-        tasks = [(name, e.name, caps) for e in entries]
         with multiprocessing.Pool(jobs) as pool:
-            for partial in pool.map(_pool_task, tasks):
-                total.merge(partial)
+            partials = pool.map(_pool_task, tasks)
     else:
-        for entry in entries:
-            partial = SuiteResult(name=name, group_count=1)
-            _GROUP_RUNNERS[name](partial, entry.name, entry.group, caps)
-            total.merge(partial)
+        partials = map(_pool_task, tasks)
+    for partial in partials:
+        total.merge(partial)
     total.elapsed = time.time() - start
     return total
 

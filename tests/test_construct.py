@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -91,23 +92,53 @@ def test_direct_product():
     assert five.degree == 40 and five.order() == 168 ** 5
 
 
-def test_declared_factors_are_checked_against_a_chain(psl27):
-    # factors given to a constructor are a claim, not a proof: the order
-    # check reads a Schreier-Sims chain, so a false structure is caught
-    from hallperm.constructions import _self_check
+def test_declared_factors_are_checked_against_a_chain(monkeypatch, psl27):
+    # no constructor takes factors as a claim: direct_product checks its
+    # order on a Schreier-Sims chain of its generators before it sets them,
+    # so generators that do not span the product are caught
+    from hallperm import constructions
     from hallperm.errors import GroupError
     from hallperm.group import DirectFactorStructure, PermGroup, inflate
     s3 = symmetric(3)
     blocks = ((0, 1, 2), (3, 4, 5))
     diagonal = [inflate(g, blocks[0], 6) * inflate(g, blocks[1], 6) for g in s3.generators]
-    forged = PermGroup(6, diagonal, factors=DirectFactorStructure(blocks, (s3, s3)))
-    with pytest.raises(GroupError, match="order 6 != expected 36"):
-        _self_check(forged, 36, "forged product")
+    with pytest.raises(TypeError):
+        PermGroup(6, diagonal, factors=DirectFactorStructure(blocks, (s3, s3)))
+    with monkeypatch.context() as patched:
+        # every factor embedded diagonally: the structure would still say 36
+        patched.setattr(constructions, "inflate",
+                        lambda x, block, degree: inflate(x, blocks[0], 6) * inflate(x, blocks[1], 6))
+        with pytest.raises(GroupError, match="order 6 != expected 36"):
+            direct_product([s3, s3])
     u, v = hall_subgroups(psl27, {2, 3})
     pair = wreath_hall_pair(psl27, u, v, {2, 3}, 5)
     checked = [direct_product([s3, s3]), pair.wreath.base_product.group,
                pair.hall_first.group, pair.hall_second.group]
-    assert all(group._chain is not None and not group._split for group in checked)
+    assert all(group._chain is not None and group.factors.shift is None for group in checked)
+
+
+def _structure_order(group):
+    factors = group.factors
+    shift = factors.shift.order() if factors.shift is not None else 1
+    return math.prod(f.order() for f in factors.factor_groups) * shift
+
+
+def test_every_block_structure_is_the_order_of_a_fresh_chain(psl27):
+    # factors are set only after a proof, so a chain built from scratch
+    # on the generators always agrees with them
+    from hallperm.catalog import build_catalog
+    from hallperm.group import StabilizerChain
+    u, v = hall_subgroups(psl27, {2, 3})
+    pair = wreath_hall_pair(psl27, u, v, {2, 3}, 5)
+    groups = [entry.group for entry in build_catalog(2000)]
+    groups += [pair.wreath.group, pair.wreath.base_product.group,
+               pair.hall_first.group, pair.hall_second.group]
+    structured = [g for g in groups if g.factors is not None]
+    assert len(structured) == 22
+    assert sum(g.factors.shift is not None for g in structured) == 10
+    for group in structured:
+        chain = StabilizerChain.build(group.degree, group.generators)
+        assert chain.order() == _structure_order(group) == group.order(), group
 
 
 def test_wreath_regular_invariants():

@@ -485,3 +485,85 @@ def test_normal_subject_leaves_no_coset_table():
     report = is_pronormal(group, group)
     assert (report.verdict, report.checked_coset_count) == (True, 0)
     assert not [key for key in group._cache if isinstance(key, tuple) and key[0] == "cosets"]
+
+
+# -- blockwise decisions past enum_cap, driven by small caps on catalog groups
+
+
+def _reflection_in_product():
+    """product(dih:4,cyc:3), <s> for the reflection s of dih:4 in block 0,
+    and the rotation r of dih:4 there: <s, s^r> is abelian, so <s> is not
+    pronormal."""
+    from hallperm.catalog import parse_group_spec
+    parent = parse_group_spec("product(dih:4,cyc:3)")
+    block = parent.factors.blocks[0]
+    r, s = parent.factors.factor_groups[0].generators
+    h = PermGroup(parent.degree, [inflate(s, block, parent.degree)])
+    return parent, h, inflate(r, block, parent.degree)
+
+
+def _certify_and_forge(group, report, caps, forge):
+    """The report's certificate replays under caps; the copy edited by forge,
+    with a fresh digest, does not."""
+    import copy
+    from hallperm import certificates as certs
+    cert = certs.non_pronormality_certificate(group, report)
+    assert certs.verify_certificate(cert, caps)[0]
+    twin = copy.deepcopy(cert)
+    forge(twin)
+    twin["digest"] = certs.certificate_digest(twin)
+    ok, detail = certs.verify_certificate(twin, caps)
+    assert not ok
+    return detail
+
+
+def test_a_failing_factor_is_lifted_past_enum_cap():
+    from hallperm.errors import Caps
+    parent, h, r = _reflection_in_product()
+    caps = Caps(enum_cap=20)
+    assert parent.order() == 24 > caps.enum_cap
+    dih = parent.factors.factor_groups[0]
+    factor_report = is_pronormal(dih, PermGroup(4, dih.generators[1:]), caps)
+    report = is_pronormal(parent, h, caps)
+    fail = report.failure
+    assert report.verdict is False and is_pronormal(parent, h).verdict is False
+    assert fail.g == inflate(factor_report.failure.g, parent.factors.blocks[0], parent.degree)
+    # the joint <s, s^g> x 1 has 4 elements, so it is scanned whole
+    assert (fail.mode, fail.scanned, fail.failing_block) == ("exhaustive", 4, None)
+    assert fail.joint.order() == 4
+
+    def normalizing_g(cert):
+        # r^2 is central in dih:4, so H^g = H and the joint is H alone
+        cert["payload"]["witness_g"] = (r * r).cycle_string()
+    assert _certify_and_forge(parent, report, caps, normalizing_g) == "joint order mismatch"
+
+
+def test_a_joint_block_past_enum_cap_is_capped():
+    from hallperm.errors import Caps
+    parent, h, r = _reflection_in_product()
+    report = pronormality_instance(parent, h, r, Caps(enum_cap=3))
+    assert report.verdict is None
+    assert report.indeterminate_reason == "block 0 of the joint exceeds enum_cap"
+
+
+def test_unequal_component_orders_are_absent_without_a_scan():
+    # H = <(0 1)> x <(3 4 5)> in Sym(3) wr Z_2: H^tau has components of
+    # orders 3 and 2, and the joint Sym(3) x Sym(3) keeps every block, so
+    # no element of it carries H to H^tau
+    from hallperm.catalog import parse_group_spec
+    from hallperm.errors import Caps
+    group = parse_group_spec("wreath(sym:3,2)")
+    blocks, tau = group.factors.blocks, group.factors.shift
+    t, c = group.factors.factor_groups[0].generators
+    h = PermGroup(6, [inflate(t, blocks[0], 6), inflate(c, blocks[1], 6)])
+    caps = Caps(enum_cap=30)
+    report = pronormality_instance(group, h, tau, caps)
+    fail = report.failure
+    assert report.verdict is False and fail.joint.order() == 36 > caps.enum_cap
+    assert (fail.mode, fail.scanned, fail.failing_block) == ("blockwise", 0, 0)
+    probed = is_pronormal(group, h, caps).failure
+    assert (probed.g, probed.mode, probed.scanned, probed.failing_block) == (tau, "blockwise", 0, 0)
+
+    def other_block(cert):
+        cert["payload"]["joint"]["failing_block"] = 1
+    assert "rescan gives" in _certify_and_forge(group, report, caps, other_block)

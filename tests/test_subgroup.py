@@ -46,6 +46,21 @@ def test_normalizer_degenerate(sym5):
     assert normalizer(sym5, trivial_group(5)).order() == 120
 
 
+def test_normalizer_past_enum_cap_raises_on_a_split_product():
+    # a shift-free product is no exception: the normalizer is a scan of the
+    # parent's elements, and past enum_cap there is none
+    from hallperm.errors import Caps, CapExceeded
+    from hallperm.group import inflate
+    parent = parse_group_spec("product(sym:4,sym:3)")
+    assert parent.factors is not None and parent.factors.shift is None
+    block = parent.factors.blocks[0]
+    sub = PermGroup(parent.degree, [inflate(perm("(0 1)", 4), block, parent.degree)])
+    with pytest.raises(CapExceeded) as raised:
+        normalizer(parent, sub, Caps(enum_cap=100))
+    assert (raised.value.cap_name, raised.value.needed) == ("enum_cap", 144)
+    assert normalizer(parent, sub).order() == 4 * 6
+
+
 def test_whole_normalizer_is_the_parent_itself():
     # caches keyed on the parent then serve it; its cache holds a marker,
     # as the parent in its own cache would be a reference cycle
