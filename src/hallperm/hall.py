@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import GroupError, Caps, DEFAULT_CAPS
-from .group import (ElementIndex, NumberClosure, PermGroup, coset_action, group_from_elements,
-                    normal_closure, pick_generators, subgroup_check, trivial_group)
+from .group import (ElementIndex, NumberClosure, PermGroup, group_from_elements, normal_closure,
+                    pick_generators, subgroup_check, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
 from .subgroup import (Subgroup, _as_group, _set_sort_key, all_sylow_subgroups, conjugate_into,
@@ -266,41 +266,33 @@ class SylowTower:
 def sylow_tower(subject, complexion, caps: Caps = DEFAULT_CAPS) -> Optional[SylowTower]:
     """The Sylow tower of the given complexion, built bottom-up, or None.
 
-    The last complexion prime must have a normal Sylow subgroup; quotient by
-    it and recurse, then pull the quotient series back through preimages.
+    Term i is normal of order the complexion[i:]-part of |subject|, so it is
+    the normal Hall complexion[i:]-subgroup, which is the set of elements
+    whose order is a complexion[i:]-number (P. Hall).  The tower exists
+    exactly when each such set is closed; a closed one has that order, so a
+    set of another size is rejected before its closure is tried.
     """
     subject = _as_group(subject)
     complexion = tuple(complexion)
-    if sorted(complexion) != prime_divisors(subject.order()):
+    order = subject.order()
+    if sorted(complexion) != prime_divisors(order):
         raise ValueError("complexion must order the prime divisors of the subject")
-    series = _tower_series(subject, complexion, caps)
-    if series is None:
-        return None
+    elements = [(e, e.order()) for e in subject.elements(caps)]
+    series = [trivial_group(subject.degree)]
+    for i in reversed(range(len(complexion))):
+        pi = complexion[i:]
+        members = [e for e, n in elements if is_pi_number(n, pi)]
+        if len(members) != pi_part(order, pi):
+            return None
+        try:
+            term = group_from_elements(subject.degree, members)
+        except GroupError:
+            return None
+        series.insert(0, term)
     tower = SylowTower(subject=subject, complexion=complexion,
                        series=tuple(Subgroup(subject, g) for g in series))
     tower.check(caps)
     return tower
-
-
-def _tower_series(group: PermGroup, complexion, caps: Caps):
-    if group.order() == 1:
-        return [group]
-    p = complexion[-1]
-    syl = sylow(group, p, caps).group
-    if not is_normal(group, syl, caps):
-        return None
-    hom, quotient = coset_action(group, syl, caps)
-    upper = _tower_series(quotient, complexion[:-1], caps)
-    if upper is None:
-        return None
-    elems = group.elements(caps)
-    series = []
-    for term in upper:
-        term_set = term.element_set(caps)
-        preimage = [e for e in elems if hom.image_of(e) in term_set]
-        series.append(group_from_elements(group.degree, preimage))
-    series.append(trivial_group(group.degree))
-    return series
 
 
 @dataclass(frozen=True)

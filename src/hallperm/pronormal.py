@@ -54,8 +54,8 @@ from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure
                     normal_closure, right_cosets, right_transversal, split_conjugate, split_join,
                     subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
-from .subgroup import (_as_group, _normalizer, conjugate_into, is_normal, normalizer,
-                       subgroup_classes)
+from .subgroup import (_as_group, _normalizer, conjugate_into, find_conjugator_in, is_normal,
+                       normalizer, subgroup_classes)
 
 
 @dataclass(frozen=True)
@@ -108,24 +108,6 @@ class StrongPronormalityReport:
     @property
     def is_strongly_pronormal(self) -> bool:
         return self.verdict is True
-
-
-def find_conjugator_in(joint: PermGroup, source: PermGroup, target: PermGroup,
-                       caps: Caps = DEFAULT_CAPS):
-    """Least x in joint with source^x = target, or (None, scanned) if absent.
-
-    Element-exhaustive in canonical order; the caller guarantees source and
-    target lie in the joint and share their order, so generator containment
-    decides equality.
-    """
-    target_set = target.element_set(caps)
-    gens = source.generators
-    scanned = 0
-    for x in joint.elements(caps):
-        scanned += 1
-        if all(h.conj(x) in target_set for h in gens):
-            return x, scanned
-    return None, scanned
 
 
 def _decide_in_joint(joint: PermGroup, h: PermGroup, hg: PermGroup, caps: Caps):

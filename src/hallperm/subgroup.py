@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, NumberClosure, PermGroup, Permutation, combine_blockwise,
                     decompose_blockwise, group_from_elements, orbit, pick_generators,
-                    right_transversal, subgroup_check, trivial_group)
+                    subgroup_check, trivial_group)
 from .numth import is_p_power, is_prime, p_part, prime_divisors
 
 
@@ -122,9 +122,11 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """A Sylow p-subgroup, grown by ascending normalizers.
 
     Start from the p-power part of the first element of order divisible by
-    p; while the subgroup is not yet full, its normalizer contains a
-    p-element outside it (p-groups are proper in their Sylow normalizer),
-    and the first such element in canonical order extends it.
+    p; while the subgroup Q is not yet full, N(Q) contains a p-element
+    outside Q (p-groups are proper in their Sylow normalizer), and the first
+    such element in canonical order extends it.  That element is the first
+    p-element x of the parent outside Q with Q's generators^x in Q, so one
+    scan of the parent per step finds it and no normalizer is formed.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -135,14 +137,15 @@ def sylow(parent: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     if target == 1:
         current = trivial_group(parent.degree)
     else:
-        e = next(e for e in parent.elements(caps) if e.order() % p == 0)
+        elements = parent.elements(caps)
+        e = next(e for e in elements if e.order() % p == 0)
         seed = e ** (e.order() // p_part(e.order(), p))
         closure = NumberClosure(ElementIndex(parent, caps))
         gens = pick_generators(closure, [seed])
         while len(closure.members) < target:
-            norm = _normalizer(parent, closure.group(gens), caps)
-            extended = next((x for x in norm.elements(caps)
-                             if is_p_power(x.order(), p) and not closure.contains(x)), None)
+            extended = next((x for x in elements if not closure.contains(x)
+                             and is_p_power(x.order(), p)
+                             and all(closure.contains(s.conj(x)) for s in gens)), None)
             if extended is None:
                 raise GroupError("sylow ascent stalled (library bug)")
             gens += pick_generators(closure, [extended])
@@ -376,8 +379,8 @@ def is_conjugate(parent: PermGroup, h, k, caps: Caps = DEFAULT_CAPS):
     """A witness g with h^g = k inside parent, or None for proven absence.
 
     Unequal orders are absence without search.  A usable block structure is
-    solved per block and combined; otherwise g runs over the right
-    transversal of N_parent(h), whose cosets exhaust all distinct h^g.
+    solved per block and combined; otherwise g is the least conjugator in
+    the parent (_is_conjugate_transversal).
     """
     h = _as_group(h)
     k = _as_group(k)
@@ -394,15 +397,10 @@ def is_conjugate(parent: PermGroup, h, k, caps: Caps = DEFAULT_CAPS):
 
 
 def _is_conjugate_transversal(parent: PermGroup, h: PermGroup, k: PermGroup, caps: Caps):
-    if parent.order() > caps.enum_cap:
-        raise CapExceeded("enum_cap", caps.enum_cap, parent.order())
-    k_key = k.element_set(caps)
-    h_elems = h.element_set(caps)
-    norm = _normalizer(parent, h, caps)
-    for t in right_transversal(parent, norm, caps):
-        if conjugated_key(h_elems, t) == k_key:
-            return ConjugacyWitness(t, h, k)
-    return None
+    """The least g with h^g = k, for h and k of one order, or None: those g form
+    a right coset of N_parent(h), whose least element is its right_transversal rep."""
+    x, _ = find_conjugator_in(parent, h, k, caps)
+    return None if x is None else ConjugacyWitness(x, h, k)
 
 
 def conjugate_into(parent: PermGroup, k, h, caps: Caps = DEFAULT_CAPS):
@@ -420,11 +418,26 @@ def conjugate_into(parent: PermGroup, k, h, caps: Caps = DEFAULT_CAPS):
     h_set = h.element_set(caps)
     if all(g in h_set for g in k.generators):
         return ConjugacyWitness(parent.identity, k, h, into=True)
-    gens = k.generators
-    for x in parent.elements(caps):
-        if all(g.conj(x) in h_set for g in gens):
-            return ConjugacyWitness(x, k, h, into=True)
-    return None
+    x, _ = find_conjugator_in(parent, k, h, caps)
+    return None if x is None else ConjugacyWitness(x, k, h, into=True)
+
+
+def find_conjugator_in(joint: PermGroup, source: PermGroup, target: PermGroup,
+                       caps: Caps = DEFAULT_CAPS):
+    """(least x in joint with source^x <= target, or None; elements scanned).
+
+    Canonical order; source^x = target when the two share their order.  The
+    joint is enumerated first, so CapExceeded reports the joint's order.
+    """
+    elements = joint.elements(caps)
+    target_set = target.element_set(caps)
+    gens = source.generators
+    scanned = 0
+    for x in elements:
+        scanned += 1
+        if all(h.conj(x) in target_set for h in gens):
+            return x, scanned
+    return None, scanned
 
 
 def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):

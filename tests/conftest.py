@@ -196,3 +196,25 @@ def maximal_subgroup_reps_oracle(group):
     keys = [(k.element_set(), k) for k in lattice_oracle(group) if k.order() < order]
     maximal = [g for key, g in keys if not any(key < other for other, _ in keys)]
     return [rep.element_set() for rep, _ in subgroup_conjugacy_classes(group, maximal)]
+
+
+def normalizer_ascent_sylow(group, p):
+    """Generators of a Sylow p-subgroup grown by ascending normalizers, the
+    library's construction before it scanned for normalizing p-elements:
+    seed with the p-power part of the first element of order divisible by
+    p, then form N(Q) by a scan of the group and adjoin its first p-element
+    outside Q, until Q has the p-part of |group|.  Closures are taken by
+    closure_oracle."""
+    from hallperm.numth import is_p_power, p_part
+    elements = group.elements()
+    target = p_part(len(elements), p)
+    if target == 1:
+        return []
+    e = next(e for e in elements if e.order() % p == 0)
+    gens = [e ** (e.order() // p_part(e.order(), p))]
+    members = closure_oracle(group.degree, gens)
+    while len(members) < target:
+        norm = [x for x in elements if all(tuple(s.conj(x)) in members for s in gens)]
+        gens.append(next(x for x in norm if is_p_power(x.order(), p) and tuple(x) not in members))
+        members = closure_oracle(group.degree, gens)
+    return gens

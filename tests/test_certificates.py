@@ -545,3 +545,33 @@ def test_wreath_replay_builds_no_chain_on_the_whole_degree(monkeypatch):
     rebuilt = [chain for _, chain, _ in builds[:made_before]]
     for component in split_h.factors.factor_groups:
         assert any(component._chain is chain for chain in rebuilt)
+
+
+def _forge_sym3_hall_classes(edit):
+    """The genuine sym:3, pi = {2} hall-classes certificate, edited and re-digested."""
+    cert, _ = _hall_classes(False)
+    edit(cert)
+    cert["digest"] = certs.certificate_digest(cert)
+    return cert
+
+
+_ENVELOPE_AND_HALL_FORGERIES = {
+    "unknown schema": (lambda cert: cert.update(schema="hall-pronormality-certificate/v0"),
+                       "unknown schema 'hall-pronormality-certificate/v0'"),
+    "unknown kind": (lambda cert: cert.update(kind="sylow-ladder"), "unknown kind 'sylow-ladder'"),
+    "wrong hall_order": (lambda cert: cert["payload"].update(hall_order=6), "hall order mismatch"),
+    "wrong class_count": (lambda cert: cert["payload"].update(class_count=2),
+                          "class count mismatch"),
+    # <(0 1 2)> lies in sym:3 but has order 3, not the {2}-part 2
+    "rep not a pi-Hall subgroup": (lambda cert: cert["payload"].update(
+        reps=[certs.subgroup_payload(_group(3, ["(0 1 2)"]))]),
+        "a representative is not a pi-Hall subgroup"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_AND_HALL_FORGERIES))
+def test_forged_envelopes_and_hall_classes_are_rejected_by_name(name):
+    edit, reason = _ENVELOPE_AND_HALL_FORGERIES[name]
+    assert certs.verify_certificate(_forge_sym3_hall_classes(lambda cert: None)) == (
+        True, "representatives are pi-Hall, pairwise non-conjugate and exhaust the classes")
+    assert certs.verify_certificate(_forge_sym3_hall_classes(edit)) == (False, reason)

@@ -567,3 +567,60 @@ def test_unequal_component_orders_are_absent_without_a_scan():
     def other_block(cert):
         cert["payload"]["joint"]["failing_block"] = 1
     assert "rescan gives" in _certify_and_forge(group, report, caps, other_block)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_wreath_past_enum_cap_probes_only_the_shift_powers(p):
+    # the base product is normal, so every shift power keeps it and no
+    # probe fails: the verdict stays open after the p - 1 nontrivial powers
+    from hallperm.constructions import cyclic, wreath_regular
+    from hallperm.errors import Caps
+    datum = wreath_regular(cyclic(2), p)
+    caps = Caps(enum_cap=4)
+    assert datum.group.order() > caps.enum_cap
+    report = is_pronormal(datum.group, datum.base_product.group, caps)
+    assert (report.verdict, report.checked_coset_count) == (None, p - 1)
+    assert report.indeterminate_reason == "ambient beyond enum_cap; only shift powers probed"
+
+
+def test_an_unstructured_parent_past_enum_cap_raises(sym5):
+    from hallperm.errors import CapExceeded, Caps
+    with pytest.raises(CapExceeded) as raised:
+        is_pronormal(sym5, PermGroup(5, [perm("(0 1)", 5)]), Caps(enum_cap=10))
+    assert (raised.value.cap_name, raised.value.needed) == ("enum_cap", 120)
+
+
+def test_an_indeterminate_factor_leaves_the_product_indeterminate():
+    # product(wreath(cyc:2,2), cyc:2) is shift-free past enum_cap; block 0
+    # is a wreath past enum_cap too, so its base product gets the open
+    # shift-power verdict, which the product passes on
+    from hallperm.catalog import parse_group_spec
+    from hallperm.errors import Caps
+    parent = parse_group_spec("product(wreath(cyc:2,2),cyc:2)")
+    wreath = parent.factors.factor_groups[0]
+    base = [inflate(x, b, wreath.degree)
+            for b, f in zip(wreath.factors.blocks, wreath.factors.factor_groups) for x in f.generators]
+    block = parent.factors.blocks[0]
+    h = PermGroup(parent.degree, [inflate(x, block, parent.degree) for x in base])
+    assert h.order() == 4
+    report = is_pronormal(parent, h, Caps(enum_cap=4))
+    assert (report.verdict, report.checked_coset_count) == (None, 1)
+    assert report.indeterminate_reason == "ambient beyond enum_cap; only shift powers probed"
+
+
+def test_a_split_instance_whose_g_misses_the_joint_is_decided_blockwise():
+    # H = <(0 1)> x <(4 5)> in Sym(4) x Sym(4), y = (1 2)(5 6) and n = (2 3)
+    # in N_G(H): J = <H, H^(ny)> = Sym(3) x Sym(3) misses g = n*y, yet H and
+    # H^g are conjugate in each block of J, which the blockwise scan finds
+    from hallperm.errors import Caps
+    parent = direct_product([symmetric(4), symmetric(4)])
+    h = PermGroup(8, [perm("(0 1)", 8), perm("(4 5)", 8)])
+    n, y = perm("(2 3)", 8), perm("(1 2)(5 6)", 8)
+    g = n * y
+    assert all(h.contains(x.conj(n)) for x in h.generators)
+    joint = PermGroup(8, h.generators + tuple(x.conj(g) for x in h.generators))
+    assert joint.order() == 36 and not joint.contains(g)
+    caps = Caps(enum_cap=10)
+    assert parent.order() > caps.enum_cap and joint.order() > caps.enum_cap
+    report = pronormality_instance(parent, h, g, caps)
+    assert (report.verdict, report.checked_coset_count) == (True, 1)

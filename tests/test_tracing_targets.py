@@ -36,3 +36,12 @@ def test_traced_methods_exist():
                        (PermGroup, ("elements",))):
         for name in names:
             assert name in vars(cls), f"{cls.__name__}.{name} is gone"
+
+
+def test_one_conjugator_scan_under_one_span():
+    """The tracer wraps pronormal.find_conjugator_in and binds the wrapper
+    wherever that object is bound, so subgroup's scans count under its span
+    only while both modules hold the same function."""
+    import hallperm.pronormal
+    import hallperm.subgroup
+    assert hallperm.subgroup.find_conjugator_in is hallperm.pronormal.find_conjugator_in
