@@ -107,7 +107,7 @@ def load_certificate(path) -> dict:
 # -- builders ----------------------------------------------------------------
 
 
-def conjugacy_witness_certificate(group, witness, transcript=None) -> dict:
+def conjugacy_witness_certificate(group, witness) -> dict:
     """Certificate of a ConjugacyWitness; NotASubgroup unless it lies in group.
 
     The witness object holds no ambient group, so membership of the witness
@@ -124,7 +124,7 @@ def conjugacy_witness_certificate(group, witness, transcript=None) -> dict:
         "into": witness.into,
     }
     return make_certificate("conjugacy-witness", group, payload,
-                            transcript or {"checked": "generator conjugates and orders"})
+                            {"checked": "generator conjugates and orders"})
 
 
 def non_pronormality_certificate(group, report, pi=None) -> dict:
@@ -163,7 +163,7 @@ def non_strong_pronormality_certificate(group, report, pi=None) -> dict:
     return make_certificate("non-strong-pronormality", group, payload, transcript, pi=pi)
 
 
-def hall_classes_certificate(group, pi, reps, transcript=None) -> dict:
+def hall_classes_certificate(group, pi, reps) -> dict:
     """Certificate of pi-Hall class reps; refuses a rep outside group or of the wrong order."""
     hall_order = pi_part(group.order(), pi)
     for r in reps:
@@ -176,8 +176,7 @@ def hall_classes_certificate(group, pi, reps, transcript=None) -> dict:
         "reps": [subgroup_payload(r.group) for r in reps],
     }
     return make_certificate("hall-classes", group, payload,
-                            transcript or {"checked": "Sylow-tuple sweep with class partition"},
-                            pi=pi)
+                            {"checked": "Sylow-tuple sweep with class partition"}, pi=pi)
 
 
 def sylow_tower_certificate(group, tower) -> dict:

@@ -321,9 +321,11 @@ def sl2_subfield_embedding(q0: int, q: int, caps: Caps = DEFAULT_CAPS):
     """The natural embedding of the SL2(q0)-action into the SL2(q)-action.
 
     Returns (hom, image subgroup handle).  Projective points map through the
-    verified field embedding; generator images are the same Mobius maps read
-    over the large field, and the homomorphism property is checked
-    exhaustively on the small group.
+    verified field embedding, and x maps to the element of psl2(q) acting on
+    them as x acts on the small line.  A non-identity element of PGL2(q)
+    fixes at most two points of the line, so its images of three points fix
+    it: one lookup over psl2(q), keyed by the embedded points' images, gives
+    the map.  The hom is verified exhaustively on the small group.
     """
     big_group = psl2(q, caps)
     if q0 == q:
@@ -338,46 +340,22 @@ def sl2_subfield_embedding(q0: int, q: int, caps: Caps = DEFAULT_CAPS):
         small_group = psl2(q0, caps)
         phi = subfield_embedding(q0, q)
         point_map = [phi[x] for x in range(q0)] + [q]
-    gen_images = [_match_on_points(big_group, point_map, g, caps)
-                  for g in small_group.generators]
-    hom = GroupHom(small_group, big_group.degree, gen_images)
+    by_images = {}
+    for y in big_group.elements(caps):
+        if by_images.setdefault(tuple(y[pt] for pt in point_map), y) is not y:
+            raise GroupError("two elements of psl2(q) agree on the embedded points")
+
+    def apply(x: Permutation) -> Permutation:
+        return by_images[tuple(point_map[i] for i in x)]
+
+    hom = GroupHom(small_group, big_group.degree,
+                   [apply(g) for g in small_group.generators], apply=apply)
     if small_group.order() <= caps.hom_check_cap and not hom.verify(caps):
         raise GroupError(f"subfield embedding sl2({q0}) -> sl2({q}) is not a homomorphism")
     image = hom.image_group()
     if image.order() != small_group.order():
         raise GroupError("subfield embedding is not injective")
     return hom, Subgroup(big_group, image)
-
-
-def _match_on_points(big_group: PermGroup, point_map, small_gen: Permutation, caps: Caps):
-    """The element of big_group acting on the embedded points like small_gen.
-
-    The embedded point set has a unique extension inside the image subgroup;
-    the Mobius generators extend canonically, so search the big group's
-    elements generated from the same Mobius formulas first.
-    """
-    embedded = {point_map[i]: point_map[small_gen[i]] for i in range(len(point_map))}
-    # The three generator kinds extend by the same formula over the big field.
-    field = _field_cache(big_group.degree - 1)
-    q = big_group.degree - 1
-    inf = q
-    candidates = []
-    translate = Permutation([field.add(x, 1) for x in range(q)] + [inf])
-    inv_images = [inf] + [field.neg(field.inv(x)) for x in range(1, q)] + [0]
-    invert = Permutation(inv_images)
-    for a in range(1, q):
-        scale_a = Permutation([field.mul(a, x) for x in range(q)] + [inf])
-        candidates.append(scale_a)
-    candidates.extend([translate, invert])
-    wanted = sorted(embedded.items())
-    for cand in candidates:
-        if all(cand[src] == dst for src, dst in wanted) and big_group.contains(cand):
-            return cand
-    # fall back: exhaustive scan of the big group's point stabilizer structure
-    for cand in big_group.elements(caps):
-        if all(cand[src] == dst for src, dst in wanted):
-            return cand
-    raise GroupError("no extension of the embedded generator found")
 
 
 # -- products and wreaths ----------------------------------------------------

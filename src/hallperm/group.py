@@ -635,14 +635,16 @@ def pick_generators(closure, worklist, conjugators=()) -> list:
 
 
 class GroupHom:
-    """A homomorphism given by generator images plus a pointwise rule.
+    """A homomorphism given by a pointwise rule, with the generator images.
 
-    The pointwise rule (when supplied by a constructor, e.g. a coset action)
-    lets the map be evaluated on arbitrary elements without factorization.
+    apply evaluates the map on any element of the source: a coset action
+    reads its coset table, a subfield embedding its lookup by point images.
+    gen_images are apply's values on the source generators; image_group is
+    generated by them, and verify checks the rule against them.
     """
 
     def __init__(self, source: PermGroup, target_degree: int, gen_images,
-                 apply: Optional[Callable[[Permutation], Permutation]] = None):
+                 apply: Callable[[Permutation], Permutation]):
         if len(gen_images) != len(source.generators):
             raise GroupError("one image per source generator required")
         self.source = source
@@ -650,33 +652,9 @@ class GroupHom:
         self.gen_images = tuple(gen_images)
         self._apply = apply
         self._image_group = None
-        self._table = None
 
     def image_of(self, p: Permutation) -> Permutation:
-        if self._apply is not None:
-            return self._apply(p)
-        table = self._word_table()
-        try:
-            return table[p]
-        except KeyError:
-            raise GroupError("element outside the source group") from None
-
-    def _word_table(self):
-        if self._table is None:
-            identity = Permutation.identity(self.source.degree)
-            target_id = Permutation.identity(self.target_degree)
-            table = {identity: target_id}
-            frontier = deque([identity])
-            pairs = list(zip(self.source.generators, self.gen_images))
-            while frontier:
-                e = frontier.popleft()
-                for g, img in pairs:
-                    prod = e * g
-                    if prod not in table:
-                        table[prod] = table[e] * img
-                        frontier.append(prod)
-            self._table = table
-        return self._table
+        return self._apply(p)
 
     def image_group(self) -> PermGroup:
         if self._image_group is None:
@@ -765,21 +743,16 @@ def inflate(p: Permutation, block, degree: int) -> Permutation:
     return combine_blockwise([p], [block], degree)
 
 
-def preserves_blocks(p: Permutation, blocks) -> bool:
-    return all(all(p[pt] in block_set for pt in block) for block, block_set in
-               ((b, set(b)) for b in blocks))
-
-
 def block_components(group: PermGroup, blocks):
-    """Per-block projections of a block-preserving group, or None.
+    """Per-block projections of a group mapping every block onto itself, or None.
 
     Returns deflated PermGroups, one per block.  The group decomposes as the
     direct product of the projections exactly when the orders multiply up to
     the group order; callers that need that property must check it.
     """
-    for g in group.generators:
-        if not preserves_blocks(g, blocks):
-            return None
+    actions = _block_action(group.generators, blocks)
+    if actions is None or not all(a.is_identity for a in actions):
+        return None
     return [PermGroup(len(block), [deflate(g, block) for g in group.generators])
             for block in blocks]
 
