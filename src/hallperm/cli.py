@@ -113,6 +113,8 @@ def cmd_example1(args) -> int:
     print(f"E_pi: {'true' if sub_verdict.satisfies_e else 'false'}")
     if not sub_verdict.satisfies_e:
         print(f"reason: no subgroup of order {sub_verdict.hall_order}")
+        # as in analyze: class_count 0, which replay re-sweeps
+        _write(certs.hall_classes_certificate(sub, pi, ()), args.out)
     element_orders = {e.order() for e in sub.elements(caps)}
     print(f"order-15 elements in the subgroup: {'none' if 15 not in element_orders else 'present'}")
     ok = ok and not sub_verdict.satisfies_e and 15 not in element_orders

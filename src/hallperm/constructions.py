@@ -398,7 +398,6 @@ class WreathDatum:
     base: PermGroup
     p: int
     group: PermGroup
-    base_product: Subgroup
     tau: Permutation
     blocks: tuple
 
@@ -431,9 +430,7 @@ def wreath_regular(base: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Wreath
                 raise GroupError("shift does not rotate the block embeddings")
     _self_check(group, base.order() ** p * p, "wreath product")
     group.factors = DirectFactorStructure(blocks=blocks, factor_groups=(base,) * p, shift=tau)
-    return WreathDatum(base=base, p=p, group=group,
-                       base_product=Subgroup(group, direct_product([base] * p, caps)),
-                       tau=tau, blocks=blocks)
+    return WreathDatum(base=base, p=p, group=group, tau=tau, blocks=blocks)
 
 
 @dataclass(frozen=True)

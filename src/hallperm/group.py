@@ -473,14 +473,12 @@ class ElementIndex:
         y = self._rows[g].get(x)
         return self.times([x], g)[0] if y is None else y
 
-    def cosets(self, sub, gens, limit=None):
-        """The right cosets Kx that make up <K, gens>, or None past limit elements.
+    def join(self, sub, gens, limit=None):
+        """Numbers of <K, gens> for the subgroup K with numbers sub, or None past limit.
 
-        sub holds the numbers of a subgroup K, and gens numbers that together
-        with K generate the join.  Dimino's closure: each coset rep r times
-        each generator g lands in a coset already present or in the new coset
-        Krg = (Kr)g.  Returns (elements, cosets): the set of numbers, and the
-        cosets as lists in discovery order, K first.
+        gens must generate K together with what is adjoined.  Dimino's
+        closure on right cosets Kx: each coset rep r times each generator g
+        lands in a coset already present or in the new coset Krg = (Kr)g.
         """
         seen = set(sub)
         cosets = [list(sub)]
@@ -499,29 +497,7 @@ class ElementIndex:
                 seen.update(image)
                 cosets.append(image)
                 reps.append(x)
-        return seen, cosets
-
-    def join(self, sub, gens, limit=None):
-        """Numbers of <K, gens> for the subgroup K with numbers sub, or None past limit.
-
-        gens must generate K together with what is adjoined.
-        """
-        found = self.cosets(sub, gens, limit)
-        return None if found is None else found[0]
-
-    def right_cosets(self, sub):
-        """Right cosets of the subgroup with numbers sub: (reps, coset number of each element).
-
-        Each rep is the least number of its coset and the reps ascend, as in
-        right_transversal.
-        """
-        _, cosets = self.cosets(sub, self.generators)
-        cosets.sort(key=min)
-        coset_of = [0] * len(self.elements)
-        for c, coset in enumerate(cosets):
-            for x in coset:
-                coset_of[x] = c
-        return [min(coset) for coset in cosets], coset_of
+        return seen
 
     def with_elements(self, group: PermGroup, key) -> PermGroup:
         """group, with its element caches filled from key, the numbers of its elements."""
@@ -665,18 +641,20 @@ class GroupHom:
         return PermGroup(self.target_degree, [self.image_of(g) for g in sub.generators])
 
     def verify(self, caps: Caps = DEFAULT_CAPS) -> bool:
-        """Exhaustively check multiplicativity on generator * element pairs.
+        """Exhaustively check phi(1) = 1 and phi(g*x) = gen_image(g)*phi(x).
 
-        phi(g*x) = phi(g)*phi(x) for every generator g and every element x
-        extends inductively to full multiplicativity, so this is a complete
-        check whenever the source is enumerable.
+        The second holds for every generator g and every element x.  With
+        phi(1) = 1 it gives phi(g) = gen_image(g), so the rule agrees with
+        gen_images, and it extends inductively to full multiplicativity: a
+        complete check whenever the source is enumerable.
         """
         n = self.source.order()
         if n > caps.hom_check_cap:
             raise CapExceeded("hom_check_cap", caps.hom_check_cap, n)
         images = {x: self.image_of(x) for x in self.source.elements(caps)}
         pairs = list(zip(self.source.generators, self.gen_images))
-        return all(images[g * x] == fg * fx for x, fx in images.items() for g, fg in pairs)
+        return (images[self.source.identity].is_identity
+                and all(images[g * x] == fg * fx for x, fx in images.items() for g, fg in pairs))
 
 
 def coset_action(parent: PermGroup, normal_sub: PermGroup, caps: Caps = DEFAULT_CAPS):

@@ -21,8 +21,8 @@ from .group import (ElementIndex, NumberClosure, PermGroup, group_from_elements,
                     pick_generators, subgroup_check, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
-from .subgroup import (Subgroup, _as_group, _set_sort_key, all_sylow_subgroups, conjugate_into,
-                       element_conjugacy_classes, is_normal, join_lattice, subgroup_classes,
+from .subgroup import (Subgroup, _as_group, _join_orbits, _set_sort_key, all_sylow_subgroups,
+                       conjugate_into, element_conjugacy_classes, is_normal, subgroup_classes,
                        subgroup_conjugacy_classes, sylow)
 
 
@@ -166,8 +166,9 @@ def all_normal_subgroups(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
     """Every normal subgroup: joins of normal closures of single classes.
 
     Each normal subgroup is generated by the conjugacy classes it contains,
-    so it is a join of the seed closures one class at a time, and every
-    partial join is itself normal.
+    so it is a join of the seed closures one class at a time; _join_orbits
+    forms those joins.  Every join of normal subgroups is normal, so each
+    class it finds has one member, listed with its recorded generators.
     """
     cached = parent._cache.get("normal_subgroups")
     if cached is None:
@@ -175,10 +176,13 @@ def all_normal_subgroups(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
         seeds = {}
         for cls in element_conjugacy_classes(parent, caps):
             closure = NumberClosure(index)
-            gens = pick_generators(closure, cls[:1], parent.generators)
-            if gens:
-                seeds.setdefault(frozenset(closure.members), tuple(gens))
-        cached = parent._cache["normal_subgroups"] = join_lattice(index, seeds)
+            if pick_generators(closure, cls[:1], parent.generators):
+                seeds.setdefault(frozenset(closure.members), closure.numbers)
+        explored, _ = _join_orbits(index, [seeds[k] for k in sorted(seeds, key=_set_sort_key)])
+        explored.sort(key=lambda entry: _set_sort_key(entry[0]))
+        cached = parent._cache["normal_subgroups"] = [
+            index.with_elements(PermGroup(parent.degree, [index.elements[i] for i in gens]), key)
+            for key, gens, _ in explored]
     return [Subgroup(parent, g) for g in cached]
 
 

@@ -8,7 +8,6 @@ one and reruns produce identical output.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
@@ -173,70 +172,22 @@ def _set_sort_key(elems):
     return (len(elems), tuple(sorted(elems)))
 
 
-def join_lattice(index: ElementIndex, seeds):
-    """Every join of seed subgroups, sorted, each with its elements cached.
+def _join_orbits(index: ElementIndex, seeds, limit=None):
+    """(explored, short): the subgroup classes reached from 1 by joins with seeds.
 
-    seeds maps the element numbers (in index) of each nontrivial seed
-    subgroup to its generators.  Starting from the trivial group and the
-    seeds, every subgroup found is joined with each seed not yet inside it
-    until nothing new appears.  A join that passes half the group is the
-    whole group (Lagrange), filed under the generators of the join that
-    reached it.  Number sets sort like the element sets they stand for,
-    because numbering follows the canonical order.
+    Seeds are lists of element numbers.  One explored member M per class is
+    joined with every seed not inside it, cut off past limit elements and
+    kept if its order divides limit; without a limit, past |G|/2, and then
+    it is G (Lagrange).  A new join enters with its conjugation orbit, on
+    numbers (y^s = (y^-1 s)^-1 s), as {member key: x} with M^x the member.
+    explored lists (key of M, numbers generating M, members) in discovery
+    order; short holds the explored keys with a join not cut off, which
+    without a limit is a join short of G.
     """
-    whole = len(index.elements)
-    seed_items = [(skey, sgens, index.numbers(sgens))
-                  for skey, sgens in sorted(seeds.items(), key=lambda kv: _set_sort_key(kv[0]))]
-    found = {frozenset([0]): (), **seeds}
-    queue = deque(key for key, _, _ in seed_items)
-    while queue:
-        key = queue.popleft()
-        gens = found[key]
-        numbers = index.numbers(gens)
-        for skey, sgens, snumbers in seed_items:
-            if all(g in key for g in snumbers):
-                continue
-            joined = index.join(key, numbers + snumbers, whole // 2)
-            jkey = frozenset(range(whole) if joined is None else joined)
-            if jkey not in found:
-                found[jkey] = gens + sgens
-                queue.append(jkey)
-    return [index.with_elements(PermGroup(index.degree, found[key]), key)
-            for key in sorted(found, key=_set_sort_key)]
-
-
-def _class_orbits(parent: PermGroup, order_divides, caps: Caps):
-    """parent's ElementIndex and, per conjugacy class of subgroups whose order
-    divides order_divides, (rep key, {member key: x}), sorted by rep key.
-
-    Keys are number sets.  Cyclic extension on one explored member M per
-    class: <M^x, C> = <M, C^(x^-1)>^x with C^(x^-1) again a cyclic seed, so
-    joining M with every seed reaches every class.  Seeds of prime-power
-    order suffice, since each element is a product of powers of itself of
-    prime-power order.  A new join enters with its whole conjugation orbit,
-    taken on numbers (y^s = (y^-1 s)^-1 s), and x is the element that
-    carries M to the member; the rep is the orbit's least element set.
-    CapExceeded past subgroup_cap.
-    """
-    n = parent.order()
-    if n > caps.subgroup_cap:
-        raise CapExceeded("subgroup_cap", caps.subgroup_cap, n)
-    index = ElementIndex(parent, caps)
-    mul, whole = index.mul, len(index.elements)
+    mul, n = index.mul, len(index.elements)
     inv = index.numbers(~e for e in index.elements)
-    seeds, cyclics = [], set()
-    for i, e in enumerate(index.elements[1:], 1):
-        order = e.order()
-        if len(prime_divisors(order)) > 1 or (order_divides is not None and order_divides % order):
-            continue
-        powers, x = {0}, i
-        while x:
-            powers.add(x)
-            x = mul(x, i)
-        if powers not in cyclics:
-            cyclics.add(frozenset(powers))
-            seeds.append(i)
-    found, explored = set(), []
+    whole = frozenset(range(n))
+    found, explored, short = set(), [], set()
 
     def enter(key, gens):
         members = {key: 0}
@@ -252,15 +203,55 @@ def _class_orbits(parent: PermGroup, order_divides, caps: Caps):
         explored.append((key, gens, members))
 
     enter(frozenset([0]), [])
-    if order_divides is None and whole > 1:
-        enter(frozenset(range(whole)), index.generators)    # past |G|/2 a join is G
     for key, gens, _ in explored:
-        for c in seeds:
-            joined = None if c in key else index.join(key, gens + [c], order_divides or whole // 2)
-            # without a filter, every join divides |G|
-            if joined and not (order_divides or whole) % len(joined) and joined not in found:
-                enter(frozenset(joined), gens + [c])
-    classes = [(min(members, key=_set_sort_key), members) for _, _, members in explored]
+        for seed in seeds:
+            if key.issuperset(seed):
+                continue
+            joined = index.join(key, gens + seed, limit or n // 2)
+            if joined is not None:
+                short.add(key)
+            elif limit:
+                continue
+            else:
+                joined = whole
+            # without a limit, every join divides |G|
+            if not (limit or n) % len(joined) and joined not in found:
+                enter(frozenset(joined), gens + seed)
+    return explored, short
+
+
+def _class_orbits(parent: PermGroup, order_divides, caps: Caps):
+    """parent's ElementIndex and, per conjugacy class of subgroups whose order
+    divides order_divides, (rep key, {member key: x}, maximal), sorted by rep key.
+
+    Keys are number sets, and the rep is the orbit's least element set.
+    The seeds are [c], one generator c per cyclic subgroup C of prime-power
+    order.  Cyclic extension: <M^x, C> = <M, C^(x^-1)>^x with C^(x^-1) again
+    a seed, so _join_orbits reaches every class; prime-power seeds suffice,
+    since each element is the product of powers of itself of prime-power
+    order.  maximal: unfiltered, a proper class with no join short of G
+    (suites._maximal_subgroup_reps).  CapExceeded past subgroup_cap.
+    """
+    n = parent.order()
+    if n > caps.subgroup_cap:
+        raise CapExceeded("subgroup_cap", caps.subgroup_cap, n)
+    index = ElementIndex(parent, caps)
+    seeds, cyclics = [], set()
+    for i, e in enumerate(index.elements[1:], 1):
+        order = e.order()
+        if len(prime_divisors(order)) > 1 or (order_divides is not None and order_divides % order):
+            continue
+        powers, x = {0}, i
+        while x:
+            powers.add(x)
+            x = index.mul(x, i)
+        if powers not in cyclics:
+            cyclics.add(frozenset(powers))
+            seeds.append([i])
+    explored, short = _join_orbits(index, seeds, order_divides)
+    classes = [(min(members, key=_set_sort_key), members,
+                order_divides is None and len(key) < n and key not in short)
+               for key, _, members in explored]
     return index, sorted(classes, key=lambda cls: _set_sort_key(cls[0]))
 
 
@@ -281,7 +272,7 @@ def all_subgroups(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT_CA
     if cached is None:
         index, classes = _class_orbits(parent, order_divides, caps)
         listed = []
-        for rep, members in classes:
+        for rep, members, _ in classes:
             gens = _rep_group(index, rep).generators
             back = ~index.elements[members[rep]]
             for key, x in members.items():
@@ -299,7 +290,7 @@ def subgroup_classes(parent: PermGroup, order_divides=None, caps: Caps = DEFAULT
     past subgroup_cap; nothing is cached.
     """
     index, classes = _class_orbits(parent, order_divides, caps)
-    return [(_rep_group(index, rep), len(members)) for rep, members in classes]
+    return [(_rep_group(index, rep), len(members)) for rep, members, _ in classes]
 
 
 def subgroup_conjugacy_classes(parent: PermGroup, groups, caps: Caps = DEFAULT_CAPS):

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from . import certificates as certs
 from .catalog import build_catalog, parse_group_spec
 from .errors import CapExceeded, Caps, DEFAULT_CAPS
-from .group import ElementIndex, PermGroup, coset_action, inflate, intersect_groups
+from .group import PermGroup, coset_action, inflate, intersect_groups
 from .hall import (all_normal_subgroups, classify, is_pi_separable, is_solvable,
                    pi_part, towers_conjugacy_check)
 from .numth import prime_divisors
 from .pronormal import (commuting_product_pronormality, hall_factorization_pronormality,
                         is_pronormal, is_strongly_pronormal, pronormal_in_normal_closure)
-from .subgroup import overgroups, subgroup_classes, sylow
+from .subgroup import _class_orbits, _rep_group, overgroups, sylow
 
 SUITE_NAMES = ("theorem1", "theorem2", "lemmas", "classical-pronormal", "towers")
 PROBE_IDS = tuple(certs.PROBE_KINDS)
@@ -285,14 +285,17 @@ def _classical_group(result, name, group, caps):
 
 
 def _maximal_subgroup_reps(group: PermGroup, caps: Caps):
-    """One representative per conjugacy class of maximal subgroups: the proper
-    class reps M with <M, t> = G for the rep t of every coset Mt other than M
-    (past |G|/2 elements a join is G, by Lagrange)."""
-    index, half = ElementIndex(group, caps), group.order() // 2
-    keyed = [(m, index.key(m)) for m, _ in subgroup_classes(group, caps=caps)[:-1]]
-    return [m for m, key in keyed
-            if all(index.join(key, index.numbers(m.generators) + [t], half) is None
-                   for t in index.right_cosets(key)[0][1:])]
+    """One rep per class of maximal subgroups: the proper classes whose
+    explored member M has no join short of G in _class_orbits.
+
+    That loop joins M with every cyclic seed of prime-power order outside M,
+    cut off past |G|/2 elements (past that a join is G), so a maximal M has
+    no join short of G.  Conversely, if M < K < G, take x in K outside M:
+    the prime-power parts of x are powers of x, so one of them, c, lies
+    outside M, and the join <M, c> <= K < G is short of G.
+    """
+    index, classes = _class_orbits(group, None, caps)
+    return [_rep_group(index, rep) for rep, _, maximal in classes if maximal]
 
 
 def _towers_group(result, name, group, caps):

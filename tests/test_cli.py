@@ -36,6 +36,18 @@ def test_analyze_without_hall_subgroups_certifies_none(tmp_path):
     assert out.stdout.startswith("OK")
 
 
+def test_example1_certifies_both_verdicts(tmp_path):
+    # sl2(16) has one {3,5}-Hall class; its sl2(4) has none, certified as class_count 0
+    out = run_cli("example1", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    paths = sorted(tmp_path.glob("hall-classes-*.json"))
+    counts = {json.loads(p.read_text())["payload"]["class_count"] for p in paths}
+    assert (len(paths), counts) == (2, {0, 1})
+    out = run_cli("verify", *[str(p) for p in paths])
+    assert out.returncode == 0, out.stdout
+    assert [line.split()[0] for line in out.stdout.splitlines()] == ["OK", "OK"]
+
+
 def test_analyze_rejects_composite_pi(tmp_path):
     out = run_cli("analyze", "--group", "sym:5", "--pi", "4", "--out", str(tmp_path))
     assert out.returncode == 2

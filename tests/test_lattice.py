@@ -19,7 +19,7 @@ import pytest
 
 from hallperm.catalog import build_catalog, parse_group_spec
 from hallperm.errors import CapExceeded, Caps
-from hallperm.group import ElementIndex, right_transversal
+from hallperm.group import ElementIndex
 from hallperm.hall import all_normal_subgroups, hall_subgroups, pi_part
 from hallperm.numth import prime_divisors
 from hallperm.subgroup import all_subgroups, overgroups, sylow
@@ -45,9 +45,6 @@ def test_index_closures_match_brute_force():
     for sub in all_subgroups(group):
         k = sub.group
         key = index.key(k)
-        reps, coset_of = index.right_cosets(key)
-        assert [index.elements[r] for r in reps] == right_transversal(group, k)
-        assert all(coset_of[x] == coset_of[reps[coset_of[x]]] for x in range(24))
         for t in index.elements:
             gens = k.generators + (t,)
             expected = {index.number[e] for e in closure_oracle(4, gens)}

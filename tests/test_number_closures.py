@@ -86,6 +86,14 @@ def test_hom_verify_rejects_an_anti_homomorphism():
         assert inverse.verify() is multiplicative
 
 
+def test_hom_verify_rejects_a_rule_off_by_a_constant():
+    # phi(g*x) = phi(g)*phi(x) holds for x -> x*(0 1), yet phi(1) = (0 1)
+    group = symmetric(3)
+    shifted = GroupHom(group, 3, group.generators, apply=lambda x: x * perm("(0 1)", 3))
+    assert not shifted.image_of(group.identity).is_identity
+    assert shifted.verify() is False
+
+
 @pytest.mark.parametrize("spec", ["sym:4", "alt:5", "product(sym:3,cyc:4)", "wreath(cyc:3,2)"])
 def test_runners_build_no_chain_for_an_enumerated_group(spec, monkeypatch):
     """A group that already knows its elements never builds a stabilizer chain."""

@@ -573,12 +573,12 @@ def test_unequal_component_orders_are_absent_without_a_scan():
 def test_a_wreath_past_enum_cap_probes_only_the_shift_powers(p):
     # the base product is normal, so every shift power keeps it and no
     # probe fails: the verdict stays open after the p - 1 nontrivial powers
-    from hallperm.constructions import cyclic, wreath_regular
+    from hallperm.constructions import cyclic, direct_product, wreath_regular
     from hallperm.errors import Caps
     datum = wreath_regular(cyclic(2), p)
     caps = Caps(enum_cap=4)
     assert datum.group.order() > caps.enum_cap
-    report = is_pronormal(datum.group, datum.base_product.group, caps)
+    report = is_pronormal(datum.group, direct_product([datum.base] * p), caps)
     assert (report.verdict, report.checked_coset_count) == (None, p - 1)
     assert report.indeterminate_reason == "ambient beyond enum_cap; only shift powers probed"
 

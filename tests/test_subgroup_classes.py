@@ -4,7 +4,8 @@ is read, and the lattice kept to the overgroups of theorem2.
 subgroup_classes and ClassVerdict's D check are compared with eager oracles
 built from conftest.lattice_oracle and subgroup_conjugacy_classes
 (conftest.subgroup_classes_oracle); the maximal-subgroup reps with the
-quadratic containment filter they replaced.
+quadratic containment filter they replaced; the normal subgroups with the
+oracle's one-member classes.
 """
 
 import functools
@@ -140,6 +141,21 @@ def test_maximal_subgroup_reps_match_the_containment_oracle(spec):
     group, _ = _oracle(spec)    # lattice_oracle keeps the lattice per group
     got = [m.element_set() for m in suites._maximal_subgroup_reps(group, Caps())]
     assert got == maximal_subgroup_reps_oracle(group)
+
+
+# -- normal subgroups from the same enumerator ---------------------------------
+
+
+@pytest.mark.parametrize("spec", SMALL + EXTRA)
+def test_normal_subgroups_are_the_one_member_classes(spec):
+    group, classes = _oracle(spec)
+    got = [n.group.element_set() for n in hall.all_normal_subgroups(group)]
+    assert got == [key for key, size in classes if size == 1]
+
+
+def test_normal_subgroups_ignore_the_lattice_cap():
+    normals = hall.all_normal_subgroups(parse_group_spec("sym:5"), Caps(subgroup_cap=10))
+    assert [n.order() for n in normals] == [1, 60, 120]
 
 
 # -- only overgroups lists the lattice -----------------------------------------
