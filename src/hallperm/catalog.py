@@ -110,7 +110,7 @@ def parse_group_spec(spec: str, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         if len(args) != 2:
             raise ValueError("wreath(base,p) takes exactly two arguments")
         base = parse_group_spec(args[0], caps)
-        return cons.wreath_regular(base, int(args[1]), caps).group
+        return cons.wreath_regular(base, int(args[1])).group
     if ":" in spec:
         name, _, arg = spec.partition(":")
         n = int(arg)

@@ -405,7 +405,7 @@ class WreathDatum:
         return inflate(x, self.blocks[block_index], self.group.degree)
 
 
-def wreath_regular(base: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> WreathDatum:
+def wreath_regular(base: PermGroup, p: int) -> WreathDatum:
     """The regular wreath product base wr Z_p on p * degree(base) points.
 
     Copy i of the base occupies points [i*n, (i+1)*n).  tau is the index
@@ -470,7 +470,7 @@ def wreath_hall_pair(base: PermGroup, u, v, pi, p: int,
         raise ValueError("u and v must be pi-Hall subgroups of the base")
     if is_conjugate(base, u, v, caps) is not None:
         raise ValueError("u and v must be non-conjugate in the base")
-    datum = wreath_regular(base, p, caps)
+    datum = wreath_regular(base, p)
     h = direct_product([v] + [u] * (p - 1), caps)
     k = direct_product([u] * (p - 1) + [v], caps)
     target = pi_part(datum.group.order(), pi)

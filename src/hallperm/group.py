@@ -539,39 +539,55 @@ def subgroup_check(parent: PermGroup, sub: PermGroup):
 
 
 def right_cosets(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS):
-    """Right-coset reps of sub in parent plus an element-key -> index map.
+    """(reps, lookup, gathers): right-coset reps of sub in parent, a map from
+    each element of parent to the number of its coset, and one gather per rep.
 
     Scanning the parent's sorted element list and claiming whole cosets makes
     each representative the lexicographically least element of its coset, so
-    the identity comes first and the output is canonical.  A cache hit needs
-    no membership check: the cached element set was checked when it was
-    stored.
+    the identity comes first and the output is canonical.  The lookup's keys
+    are the parent's own element objects, not the products that found them.
+    gathers[i] maps x to the image tuple of reps[i] * x, formed in C, so the
+    coset of reps[i] * x is lookup[gathers[i](x)] and no Permutation is built
+    (a Permutation is a tuple with tuple's hash and equality).  A cache hit
+    needs no membership check: the cached element set was checked when it
+    was stored.
     """
     cache_key = ("cosets", sub.key(caps))
     cached = parent._cache.get(cache_key)
     if cached is not None:
         return cached
     subgroup_check(parent, sub)
-    sub_elems = sub.elements(caps)
+    elements = parent.elements(caps)
     reps = []
-    lookup = {}
-    for e in parent.elements(caps):
-        if e in lookup:
+    # assigning to a present key keeps that key, so every key stays an element
+    lookup = dict.fromkeys(elements)
+    claims = _gathers(sub.elements(caps), parent.degree)
+    for e in elements:
+        if lookup[e] is not None:
             continue
         idx = len(reps)
         reps.append(e)
-        for h in sub_elems:
-            lookup[h * e] = idx
-    if len(reps) * len(sub_elems) != parent.order():
+        for claim in claims:
+            lookup[claim(e)] = idx
+    if len(reps) * len(claims) != len(elements):
         raise GroupError("coset decomposition does not cover the group")
-    parent._cache[cache_key] = (reps, lookup)
-    return reps, lookup
+    cached = reps, lookup, _gathers(reps, parent.degree)
+    parent._cache[cache_key] = cached
+    return cached
+
+
+def _gathers(perms, degree: int) -> list:
+    """One callable per p in perms, mapping x to the image tuple of p * x."""
+    if degree < 2:
+        # itemgetter() raises and itemgetter(i) returns a scalar; the only
+        # permutation of degree 0 or 1 is the identity, and p * x is x
+        return [tuple] * len(perms)
+    return [itemgetter(*p) for p in perms]
 
 
 def right_transversal(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS):
     """Right-coset representatives of sub in parent, identity first."""
-    reps, _ = right_cosets(parent, sub, caps)
-    return list(reps)
+    return list(right_cosets(parent, sub, caps)[0])
 
 
 def normal_closure(parent: PermGroup, seeds, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -678,10 +694,13 @@ def coset_action(parent: PermGroup, normal_sub: PermGroup, caps: Caps = DEFAULT_
     index = parent.order() // normal_sub.order()
     if index > caps.degree_cap:
         raise CapExceeded("degree_cap", caps.degree_cap, index)
-    reps, lookup = right_cosets(parent, normal_sub, caps)
+    _, lookup, gathers = right_cosets(parent, normal_sub, caps)
+    degree = parent.degree       # not parent: act is cached on it
 
     def act(p: Permutation) -> Permutation:
-        return Permutation([lookup[rep * p] for rep in reps], check=False)
+        if len(p) != degree:
+            raise DegreeMismatch(f"degree {degree} vs {len(p)}")
+        return Permutation([lookup[gather(p)] for gather in gathers], check=False)
 
     gen_images = [act(g) for g in parent.generators]
     hom = GroupHom(parent, index, gen_images, apply=act)

@@ -16,11 +16,14 @@ pronormality_instance (one g): some x in J has H^x = H^g exactly when J
 meets N_G(H)*g, that is when the coset N_G(H)*g lies in the orbit of the
 coset N_G(H) under J acting on right cosets by right multiplication.  On an
 enumerable G, _joint_meets_coset grows that orbit on the cached right-coset
-table with J's generators, building neither J nor a chain, and only a miss
-closes J on the element numbers of G; beyond enumeration, g is sifted into
-J's chain.  A miss falls through to the exhaustive scan of J (or of its
-blocks), which confirms the negative and supplies the certificate data; a
-scan that finds a conjugator after an orbit miss raises GroupError.
+table, whose per-coset gathers step a coset by an element in C.  The orbit
+is a union of H-orbits, the double cosets N_G(H)*r*H, so it is grown by
+H^g's generators alone, a whole memoized H-orbit at a time.  It builds
+neither J nor a chain, and only a miss closes J on the element numbers of
+G; beyond enumeration, g is sifted into J's chain.  A miss falls through to
+the exhaustive scan of J (or of its blocks), which confirms the negative and
+supplies the certificate data; a scan that finds a conjugator after an orbit
+miss raises GroupError.
 
 Split-join lemma, used beyond enumeration: when the blocks of G partition
 the points, H is the direct product of its block components H_i (their
@@ -40,7 +43,8 @@ formed as before.
 
 Strong pronormality asks the same orbit question on the right cosets of
 N_G(K): some x in <H, K^g> has K^(gx) <= H exactly when the orbit of
-N_G(K)*g meets S_K = {N_G(K)*y : K^y <= H}, computed once per K.
+N_G(K)*g meets S_K = {N_G(K)*y : K^y <= H}, computed once per K.  That orbit
+is grown from H-orbits by K^g's generators.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from typing import Optional
 from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure,
                     decompose_blockwise, inflate, intersect_groups, is_partition,
-                    normal_closure, right_cosets, right_transversal, split_conjugate, split_join,
-                    subgroup_check)
+                    normal_closure, orbit, right_cosets, right_transversal, split_conjugate,
+                    split_join, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
 from .subgroup import (_as_group, _normalizer, conjugate_into, find_conjugator_in, is_normal,
                        normalizer, subgroup_classes)
@@ -138,31 +142,49 @@ def _decide_in_joint(joint: PermGroup, h: PermGroup, hg: PermGroup, caps: Caps):
     return "capped", f"joint of order {joint.order()} admits neither exhaustive nor blockwise search"
 
 
-def _joint_meets_coset(parent: PermGroup, norm: PermGroup, gens, g: Permutation,
-                       targets, caps: Caps) -> bool:
-    """True iff some x in <gens> has norm*g*x among the cosets numbered targets.
+def _joint_meets_coset(parent: PermGroup, norm: PermGroup, h: PermGroup, xgens,
+                       g: Permutation, targets, caps: Caps) -> bool:
+    """True iff some x in J = <h, xgens> has norm*g*x among the cosets numbered targets.
 
-    Cosets are numbered as in right_cosets(parent, norm), whose table is
-    cached on parent.  The orbit of norm*g under right multiplication by
-    <gens> is grown breadth first and stops at the first coset in targets.
-    With targets {0}, the coset norm itself, this says that <gens> meets
+    Cosets are numbered as in right_cosets(parent, norm), whose table and
+    gathers are cached on parent.  The orbit of norm*g under J is grown as a
+    union of h-orbits, the double cosets norm*r*h: it starts from the h-orbit
+    of norm*g, applies only xgens to each coset it holds, adds the whole
+    h-orbit of each new image, and stops at the first h-orbit that meets
+    targets.  The set so grown is a union of h-orbits, so closed under h, and
+    closed under xgens, so closed under J; and each member was reached from
+    norm*g by an element of J.  It is therefore the J-orbit of norm*g.  The
+    h-orbits are memoized on parent per (norm, h), filled as the search meets
+    them.  With targets {0}, the coset norm itself, this says that J meets
     norm*g, as x lies in g^-1*norm exactly when x^-1 lies in norm*g.
     """
-    reps, lookup = right_cosets(parent, norm, caps)
-    start = lookup[g]
-    if start in targets:
+    _, lookup, gathers = right_cosets(parent, norm, caps)
+    h_orbits = parent._cache.setdefault(("h_orbits", norm.key(caps), h.key(caps)), {})
+    hgens = h.generators
+
+    def h_orbit(c):
+        block = h_orbits.get(c)
+        if block is None:
+            block = list(orbit([c], hgens, lambda d, x: lookup[gathers[d](x)]))
+            for d in block:
+                h_orbits[d] = block
+        return block
+
+    block = h_orbit(lookup[g])
+    if not targets.isdisjoint(block):
         return True
-    seen = {start}
-    frontier = [start]
+    seen = set(block)
+    frontier = list(block)
     for c in frontier:
-        r = reps[c]
-        for x in gens:
-            d = lookup[r * x]
+        gather = gathers[c]
+        for x in xgens:
+            d = lookup[gather(x)]
             if d not in seen:
-                if d in targets:
+                block = h_orbit(d)
+                if not targets.isdisjoint(block):
                     return True
-                seen.add(d)
-                frontier.append(d)
+                seen.update(block)
+                frontier.extend(block)
     return False
 
 
@@ -218,7 +240,7 @@ def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
         joint, h_split, hg = _split_instance(h, g, conj_gens, blocks)
         if joint.contains(g):
             return PronormalityReport(h, parent, True, checked_coset_count=1)
-    elif _joint_meets_coset(parent, norm, h.generators + tuple(conj_gens), g, {0}, caps):
+    elif _joint_meets_coset(parent, norm, h, conj_gens, g, {0}, caps):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
     else:
         joint = _joint_of(h, conj_gens, blocks, ElementIndex(parent, caps))
@@ -375,7 +397,7 @@ def is_strongly_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> St
         into_h = {c for c, kg_gens in enumerate(conj_gens) if all(x in h_set for x in kg_gens)}
         for g, kg_gens in zip(reps, conj_gens):
             checked += 1
-            if _joint_meets_coset(parent, norm, h.generators + kg_gens, g, into_h, caps):
+            if _joint_meets_coset(parent, norm, h, kg_gens, g, into_h, caps):
                 continue
             joint = _joint_of(h, kg_gens, None, ElementIndex(parent, caps))
             # joint <= parent, which right_transversal just enumerated

@@ -191,7 +191,10 @@ def _join_orbits(index: ElementIndex, seeds, limit=None):
 
     def enter(key, gens):
         members = {key: 0}
-        frontier = [key]
+        # gens generate the key, so it is normal, and its own orbit, when their
+        # conjugates stay in it
+        normal = all(mul(inv[mul(inv[y], s)], s) in key for y in gens for s in index.generators)
+        frontier = [] if normal else [key]
         for k in frontier:    # a dict may not grow while it is iterated; a list may
             x = members[k]
             for s in index.generators:

@@ -120,6 +120,20 @@ def test_coset_action_degenerate(sym5):
     assert image.order() == 120
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_coset_action_and_orbit_test_below_degree_2(degree):
+    # itemgetter needs two points: the gathers there take their own branch
+    from hallperm.errors import DEFAULT_CAPS, DegreeMismatch
+    from hallperm.pronormal import _joint_meets_coset
+    group = trivial_group(degree)
+    hom, image = coset_action(group, group)
+    assert (image.degree, image.order()) == (1, 1)
+    assert hom.image_of(group.identity).is_identity
+    with pytest.raises(DegreeMismatch):
+        hom.image_of(Permutation.identity(degree + 2))
+    assert _joint_meets_coset(group, group, group, [], group.identity, {0}, DEFAULT_CAPS)
+
+
 def test_coset_action_rejects_non_normal(sym5):
     stab = PermGroup(5, [perm("(1 2)", 5), perm("(1 2 3 4)", 5)])
     with pytest.raises(NotASubgroup):

@@ -249,7 +249,7 @@ def test_coset_decision_agrees_with_joint_scan(subjects):
             conj_gens = [x.conj(t) for x in h.generators]
             joint = _joint_of(h, conj_gens, blocks)
             hg = PermGroup(h.degree, conj_gens)
-            meets = _joint_meets_coset(group, norm, joint.generators, t, {0}, DEFAULT_CAPS)
+            meets = _joint_meets_coset(group, norm, h, conj_gens, t, {0}, DEFAULT_CAPS)
             status, _ = _decide_in_joint(joint, h, hg, DEFAULT_CAPS)
             assert meets == (status == "found"), (name, h.order(), t)
             if not meets:
@@ -325,7 +325,7 @@ def test_orbit_test_agrees_with_joint_scan_on_class_reps(class_reps):
         for t in right_transversal(group, norm)[1:]:
             conj_gens = [x.conj(t) for x in h.generators]
             joint = _joint_of(h, conj_gens, blocks)
-            meets = _joint_meets_coset(group, norm, joint.generators, t, {0}, DEFAULT_CAPS)
+            meets = _joint_meets_coset(group, norm, h, conj_gens, t, {0}, DEFAULT_CAPS)
             status, _ = _decide_in_joint(joint, h, PermGroup(h.degree, conj_gens), DEFAULT_CAPS)
             assert meets == (status == "found"), (name, h.order(), t)
             positives += meets
@@ -355,8 +355,7 @@ def test_orbit_test_agrees_with_conjugate_into_on_strong_pairs(class_reps):
             for c, (g, kg) in enumerate(zip(reps, conj_gens)):
                 if c in into_h:
                     continue
-                meets = _joint_meets_coset(group, norm, h.generators + kg, g, into_h,
-                                           DEFAULT_CAPS)
+                meets = _joint_meets_coset(group, norm, h, kg, g, into_h, DEFAULT_CAPS)
                 joint = PermGroup(h.degree, h.generators + kg)
                 found = conjugate_into(joint, PermGroup(h.degree, kg), h) is not None
                 assert meets == found, (name, h.order(), k.order(), g)
@@ -388,6 +387,53 @@ def test_positive_instance_builds_no_chain_and_no_joint(monkeypatch, spec):
     assert pronormality_instance(symmetric(4), PermGroup(4, [perm("(0 1)", 4)]),
                                  perm("(0 2)(1 3)", 4)).verdict is False
     assert "build" in calls and "join" in calls
+
+
+def test_warm_positive_instance_makes_no_product(monkeypatch):
+    # once the coset table and the H-orbit memo are warm, a positive instance
+    # steps on the table's gathers and forms no Permutation product
+    from hallperm.catalog import parse_group_spec
+    from hallperm.group import Permutation, right_transversal
+    from hallperm.subgroup import normalizer
+    group = parse_group_spec("psl2:16")
+    h = sylow(group, 2).group
+    norm = normalizer(group, h).group
+    # g in each coset, and a second g in the same coset as the first
+    gs = right_transversal(group, norm)[1:]
+    gs.append(norm.generators[0] * gs[0])
+    assert all(pronormality_instance(group, h, g).verdict is True for g in gs)
+    calls = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert all(pronormality_instance(group, h, g).verdict is True for g in gs)
+    assert calls == []
+    gs[0] * gs[1]           # the patch does see a product
+    assert calls == [1]
+
+
+def test_memoized_h_orbits_are_double_cosets(class_reps):
+    # brute-force oracle: each memoized H-orbit of a coset Nr is {N r x : x in H}
+    from hallperm.errors import DEFAULT_CAPS
+    from hallperm.group import right_transversal
+    from hallperm.pronormal import _joint_meets_coset
+    from hallperm.subgroup import normalizer
+    checked = 0
+    for name, group, h in class_reps:
+        norm = normalizer(group, h).group
+        for t in right_transversal(group, norm)[1:]:
+            _joint_meets_coset(group, norm, h, [x.conj(t) for x in h.generators], t, {0},
+                               DEFAULT_CAPS)
+        if h.order() not in (1, group.order()):
+            is_strongly_pronormal(group, h)     # H acting on the cosets of each N_G(K)
+        for key, memo in group._cache.items():
+            if key[0] != "h_orbits" or key[2] != h.element_set():
+                continue
+            reps, lookup, _ = group._cache[("cosets", key[1])]
+            for c, block in memo.items():
+                assert sorted(block) == sorted({lookup[reps[c] * x] for x in key[2]}), (name, c)
+                assert all(memo[d] is block for d in block)
+                checked += 1
+    assert checked > 0
 
 
 def test_strong_scan_contradicting_an_orbit_miss_is_an_error(monkeypatch, sym5):
