@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Caps, DEFAULT_CAPS
 from .group import PermGroup, load_generator_file
 from . import constructions as cons
 
@@ -64,11 +63,11 @@ def default_specs():
     return specs
 
 
-def build_catalog(max_order: int = DEFAULT_MAX_ORDER, caps: Caps = DEFAULT_CAPS):
+def build_catalog(max_order: int = DEFAULT_MAX_ORDER):
     """All default family members of order at most max_order, in spec order."""
     entries = []
     for spec in default_specs():
-        group = parse_group_spec(spec, caps)
+        group = parse_group_spec(spec)
         if group.order() <= max_order:
             entries.append(CatalogEntry(name=spec, group=group))
     return entries
@@ -96,20 +95,20 @@ def _split_args(body: str):
     return parts
 
 
-def parse_group_spec(spec: str, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def parse_group_spec(spec: str) -> PermGroup:
     spec = spec.strip()
     if not spec:
         raise ValueError("empty group spec")
     if spec.startswith("file:"):
         return load_generator_file(spec[5:])
     if spec.startswith("product(") and spec.endswith(")"):
-        factors = [parse_group_spec(s, caps) for s in _split_args(spec[8:-1])]
-        return cons.direct_product(factors, caps)
+        factors = [parse_group_spec(s) for s in _split_args(spec[8:-1])]
+        return cons.direct_product(factors)
     if spec.startswith("wreath(") and spec.endswith(")"):
         args = _split_args(spec[7:-1])
         if len(args) != 2:
             raise ValueError("wreath(base,p) takes exactly two arguments")
-        base = parse_group_spec(args[0], caps)
+        base = parse_group_spec(args[0])
         return cons.wreath_regular(base, int(args[1])).group
     if ":" in spec:
         name, _, arg = spec.partition(":")
@@ -119,7 +118,7 @@ def parse_group_spec(spec: str, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         if name in builders:
             return builders[name](n)
         if name == "psl2":
-            return cons.psl2(n, caps)
+            return cons.psl2(n)
         if name == "sl2":
-            return cons.sl2(n, caps)
+            return cons.sl2(n)
     raise ValueError(f"unrecognized group spec: {spec!r}")

@@ -93,7 +93,7 @@ def _print_analysis(group, label, pi, caps, out_dir):
 def cmd_analyze(args) -> int:
     caps = _caps_from_args(args)
     pi = _parse_pi(args.pi)
-    group = parse_group_spec(args.group, caps)
+    group = parse_group_spec(args.group)
     _print_analysis(group, args.group, pi, caps, args.out)
     return 0
 
@@ -102,7 +102,7 @@ def cmd_example1(args) -> int:
     caps = _caps_from_args(args)
     pi = frozenset({3, 5})
     print("scenario example1: the covering-property group sl2(16) and its sl2(4) subgroup")
-    big = sl2(16, caps)
+    big = sl2(16)
     verdict = _print_analysis(big, "sl2:16", pi, caps, args.out)
     ok = (verdict.satisfies_e and verdict.satisfies_c and verdict.satisfies_d
           and verdict.class_count == 1 and verdict.hall_order == 15)
@@ -158,7 +158,7 @@ def cmd_theorem3(args) -> int:
     if p in pi:
         print(f"error: p={p} lies in pi; the construction requires p outside pi", file=sys.stderr)
         return 2
-    base = parse_group_spec(args.base, caps)
+    base = parse_group_spec(args.base)
     print(f"scenario theorem3 (base={args.base}, pi={{{','.join(map(str, sorted(pi)))}}}, p={p})")
     reps = hall_subgroups(base, pi, caps)
     print(f"base Hall classes: {len(reps)} (orders {[r.order() for r in reps]})")
@@ -230,8 +230,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    caps = _caps_from_args(args)
-    for entry in build_catalog(args.max_order, caps):
+    for entry in build_catalog(args.max_order):
         print(f"{entry.name}  degree={entry.group.degree}  order={entry.group.order()}")
     return 0
 

@@ -244,7 +244,7 @@ def _is_irreducible(coeffs, p, k):
 # -- projective-line actions -------------------------------------------------
 
 
-def psl2(q: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def psl2(q: int) -> PermGroup:
     """PSL2(q) acting on the q+1 projective-line points.
 
     Points 0..q-1 are the field elements (canonical integer encoding),
@@ -277,11 +277,11 @@ def psl2(q: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return group
 
 
-def sl2(q: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def sl2(q: int) -> PermGroup:
     """SL2(q) as a permutation group; for even q it coincides with psl2(q)."""
     if q % 2 != 0:
         raise ValueError("sl2 is only realized for even q, where SL2 = PSL2")
-    return psl2(q, caps)
+    return psl2(q)
 
 
 _FIELDS: dict = {}
@@ -327,7 +327,7 @@ def sl2_subfield_embedding(q0: int, q: int, caps: Caps = DEFAULT_CAPS):
     it: one lookup over psl2(q), keyed by the embedded points' images, gives
     the map.  The hom is verified exhaustively on the small group.
     """
-    big_group = psl2(q, caps)
+    big_group = psl2(q)
     if q0 == q:
         hom = GroupHom(big_group, big_group.degree, big_group.generators,
                        apply=lambda x: x)
@@ -337,7 +337,7 @@ def sl2_subfield_embedding(q0: int, q: int, caps: Caps = DEFAULT_CAPS):
         small_group = symmetric(3)
         point_map = [0, 1, q]
     else:
-        small_group = psl2(q0, caps)
+        small_group = psl2(q0)
         phi = subfield_embedding(q0, q)
         point_map = [phi[x] for x in range(q0)] + [q]
     by_images = {}
@@ -361,7 +361,7 @@ def sl2_subfield_embedding(q0: int, q: int, caps: Caps = DEFAULT_CAPS):
 # -- products and wreaths ----------------------------------------------------
 
 
-def direct_product(groups, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def direct_product(groups) -> PermGroup:
     """Disjoint-support direct product: a split_group over consecutive blocks.
 
     The order is checked on a Schreier-Sims chain of the generators before
@@ -471,8 +471,8 @@ def wreath_hall_pair(base: PermGroup, u, v, pi, p: int,
     if is_conjugate(base, u, v, caps) is not None:
         raise ValueError("u and v must be non-conjugate in the base")
     datum = wreath_regular(base, p)
-    h = direct_product([v] + [u] * (p - 1), caps)
-    k = direct_product([u] * (p - 1) + [v], caps)
+    h = direct_product([v] + [u] * (p - 1))
+    k = direct_product([u] * (p - 1) + [v])
     target = pi_part(datum.group.order(), pi)
     for name, grp in (("H", h), ("K", k)):
         if grp.order() != target:

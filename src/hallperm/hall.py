@@ -1,12 +1,13 @@
 """Hall-subgroup classes, pi-separability and Sylow towers.
 
-The Hall search rests on one fact: a Hall subgroup is generated by the
-Sylow subgroups it contains (the subgroup generated by them has order
-divisible by every relevant prime power, sits inside, hence is the whole
-thing).  Fixing one Sylow subgroup of a reference prime and varying the
-others over all their conjugates therefore meets every conjugacy class of
-Hall subgroups, which makes the class enumeration complete without a full
-subgroup lattice.
+The Hall search is the subgroup join loop (subgroup._join_orbits) started at
+one Sylow subgroup P, seeded with every Sylow subgroup of the other primes
+of pi and cut off at the Hall order.  Each Hall class has a member H over P,
+and H = <P, Q_1, ..., Q_k> for Sylow subgroups Q_i of G (the join has
+every prime-power part of |H|).  Every step of P <= <P, Q_1> <= ... <= H lies
+in H, so its order divides the Hall order, and <M^y, Q> = <M, Q^(y^-1)>^y
+with Q^(y^-1) again a seed, so the loop reaches every Hall class without a
+full subgroup lattice.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .group import (ElementIndex, NumberClosure, PermGroup, group_from_elements,
                     pick_generators, subgroup_check, trivial_group)
 from .numth import is_prime, p_part, prime_divisors
 from .perm import Permutation
-from .subgroup import (Subgroup, _as_group, _join_orbits, _set_sort_key, all_sylow_subgroups,
-                       conjugate_into, element_conjugacy_classes, is_normal, subgroup_classes,
-                       subgroup_conjugacy_classes, sylow)
+from .subgroup import (Subgroup, _as_group, _join_orbits, _rep_group, _set_sort_key,
+                       all_sylow_subgroups, conjugate_into, element_conjugacy_classes, is_normal,
+                       subgroup_classes, sylow)
 
 
 class PrimeSet(frozenset):
@@ -75,9 +76,9 @@ def is_hall_subgroup(parent: PermGroup, sub, pi) -> bool:
 def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
     """Conjugacy-class representatives of the pi-Hall subgroups.
 
-    Empty list means no pi-Hall subgroup exists; that verdict is conclusive
-    because the Sylow-tuple sweep described in the module docstring would
-    have produced one.
+    Each rep is the least member of its class.  Empty list means no pi-Hall
+    subgroup exists; that verdict is conclusive because the search described
+    in the module docstring reaches every class.
     """
     pi = PrimeSet(pi)
     order = parent.order()
@@ -90,23 +91,17 @@ def hall_subgroups(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS):
         relevant = [p for p in sorted(pi) if order % p == 0]
         sylow_lists = {p: all_sylow_subgroups(parent, p, caps) for p in relevant}
         fixed_p = max(relevant, key=lambda p: (len(sylow_lists[p]), p))
-        others = [p for p in relevant if p != fixed_p]
         fixed = sylow(parent, fixed_p, caps).group
         index = ElementIndex(parent, caps)
         fixed_key = index.key(fixed)
-        fixed_gens = index.numbers(fixed.generators)
-        candidates = {}
-        for combo in itertools.product(*(sylow_lists[p] for p in others)):
-            gens = fixed_gens + [index.number[g] for q in combo for g in q.generators]
-            closed = index.join(fixed_key, gens, target)
-            if closed is None or len(closed) != target:
-                continue
-            key = frozenset(closed)
-            if key not in candidates:
-                candidates[key] = group_from_elements(parent.degree,
-                                                      [index.elements[i] for i in key])
-        groups = [candidates[k] for k in sorted(candidates, key=_set_sort_key)]
-        result = [rep for rep, _ in subgroup_conjugacy_classes(parent, groups, caps)]
+        seeds = [index.numbers(q.generators) for p in relevant if p != fixed_p
+                 for q in sylow_lists[p]]
+        explored, _ = _join_orbits(index, seeds, target, (fixed_key, index.numbers(fixed.generators)))
+        classes = [members for key, _, members in explored if len(key) == target]
+        # by each class's least member over P: the order in which the sweep of
+        # P's joins with Sylow tuples met them (by rep, psl2:11's {2,3}-classes swap)
+        classes.sort(key=lambda members: min(_set_sort_key(k) for k in members if fixed_key <= k))
+        result = [_rep_group(index, min(members, key=_set_sort_key)) for members in classes]
     return [Subgroup(parent, g) for g in result]
 
 
@@ -151,7 +146,7 @@ class ClassVerdict:
 
 
 def classify(parent: PermGroup, pi, caps: Caps = DEFAULT_CAPS) -> ClassVerdict:
-    """E and C for pi in parent from the Hall sweep; D waits until it is read."""
+    """E and C for pi in parent from the Hall search; D waits until it is read."""
     pi = PrimeSet(pi)
     reps = hall_subgroups(parent, pi, caps)
     return ClassVerdict(pi=pi, hall_order=pi_part(parent.order(), pi), satisfies_e=bool(reps),
@@ -248,7 +243,7 @@ class SylowTower:
     complexion: tuple
     series: tuple
 
-    def check(self, caps: Caps = DEFAULT_CAPS):
+    def check(self):
         order = self.subject.order()
         if sorted(self.complexion) != prime_divisors(order):
             raise GroupError("tower complexion does not order the prime divisors of the subject")
@@ -263,7 +258,7 @@ class SylowTower:
             if groups[i].order() != p_part(order, p) * groups[i + 1].order():
                 raise GroupError(f"tower factor {i} is not the {p}-part")
         for term in groups[1:]:
-            if not is_normal(self.subject, term, caps):
+            if not is_normal(self.subject, term):
                 raise GroupError("tower term is not normal in the subject")
 
 
@@ -295,7 +290,7 @@ def sylow_tower(subject, complexion, caps: Caps = DEFAULT_CAPS) -> Optional[Sylo
         series.insert(0, term)
     tower = SylowTower(subject=subject, complexion=complexion,
                        series=tuple(Subgroup(subject, g) for g in series))
-    tower.check(caps)
+    tower.check()
     return tower
 
 

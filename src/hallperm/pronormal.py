@@ -490,7 +490,7 @@ def commuting_product_pronormality(parent: PermGroup, factor_groups, parts,
         raise ValueError("one part per factor required")
     for i, f in enumerate(factor_groups):
         try:
-            if not is_normal(parent, f, caps):
+            if not is_normal(parent, f):
                 failures.append(f"factor {i} is not normal in the ambient group")
         except GroupError as exc:
             failures.append(f"factor {i}: {exc}")
@@ -536,7 +536,7 @@ def hall_factorization_pronormality(parent: PermGroup, a, h, pi,
     failures = []
     if h.order() != pi_part(parent.order(), pi) or not is_pi_number(h.order(), pi):
         failures.append("h is not a pi-Hall subgroup of the ambient group")
-    if not is_normal(parent, a, caps):
+    if not is_normal(parent, a):
         failures.append("a is not normal in the ambient group")
     h_cap_a = intersect_groups(h, a, caps)
     if h.order() * a.order() != parent.order() * h_cap_a.order():
@@ -551,8 +551,8 @@ def hall_factorization_pronormality(parent: PermGroup, a, h, pi,
 
     norm = normalizer(parent, h_cap_a, caps).group
     norm_a = intersect_groups(norm, a, caps)
-    series_ok = (is_normal(norm, norm_a, caps)
-                 and is_normal(norm, h_cap_a, caps)
+    series_ok = (is_normal(norm, norm_a)
+                 and is_normal(norm, h_cap_a)
                  and is_pi_number(norm.order() // norm_a.order(), pi)
                  and is_pi_free(norm_a.order() // h_cap_a.order(), pi)
                  and is_pi_number(h_cap_a.order(), pi)

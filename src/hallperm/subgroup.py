@@ -72,7 +72,7 @@ def conjugated_key(elems, g: Permutation):
     return frozenset(e.conj(g) for e in elems)
 
 
-def is_normal(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_normal(parent: PermGroup, sub) -> bool:
     """True iff a^g stays in sub for all generators a of sub, g of parent."""
     sub = _as_group(sub)
     subgroup_check(parent, sub)
@@ -172,41 +172,47 @@ def _set_sort_key(elems):
     return (len(elems), tuple(sorted(elems)))
 
 
-def _join_orbits(index: ElementIndex, seeds, limit=None):
-    """(explored, short): the subgroup classes reached from 1 by joins with seeds.
+def _join_orbits(index: ElementIndex, seeds, limit=None, start=(frozenset([0]), ())):
+    """(explored, short): the subgroup classes reached from start by joins with seeds.
 
-    Seeds are lists of element numbers.  One explored member M per class is
+    start is (key, numbers generating it), by default the trivial group;
+    seeds are lists of element numbers.  One explored member M per class is
     joined with every seed not inside it, cut off past limit elements and
     kept if its order divides limit; without a limit, past |G|/2, and then
-    it is G (Lagrange).  A new join enters with its conjugation orbit, on
-    numbers (y^s = (y^-1 s)^-1 s), as {member key: x} with M^x the member.
-    explored lists (key of M, numbers generating M, members) in discovery
-    order; short holds the explored keys with a join not cut off, which
-    without a limit is a join short of G.
+    it is G (Lagrange).  Members of order limit are not joined.  A new join
+    enters with its conjugation orbit, each y^g looked up by number, as
+    {member key: x} with M^x the member; start, whose class no join meets,
+    enters alone unless it is kept at the limit.  explored lists (key of M,
+    numbers generating M, members) in discovery order; short holds the
+    explored keys with a join not cut off, which without a limit is a join
+    short of G.
     """
-    mul, n = index.mul, len(index.elements)
-    inv = index.numbers(~e for e in index.elements)
+    elements, number, n = index.elements, index.number, len(index.elements)
+    conjugators = [(s, elements[s]) for s in index.generators]
     whole = frozenset(range(n))
     found, explored, short = set(), [], set()
 
-    def enter(key, gens):
+    def enter(key, gens, orbit=True):
         members = {key: 0}
         # gens generate the key, so it is normal, and its own orbit, when their
         # conjugates stay in it
-        normal = all(mul(inv[mul(inv[y], s)], s) in key for y in gens for s in index.generators)
-        frontier = [] if normal else [key]
-        for k in frontier:    # a dict may not grow while it is iterated; a list may
-            x = members[k]
-            for s in index.generators:
-                image = frozenset(mul(inv[mul(inv[y], s)], s) for y in k)
-                if image not in members:
-                    members[image] = mul(x, s)
-                    frontier.append(image)
+        if orbit and not all(number[elements[y].conj(g)] in key
+                             for y in gens for _, g in conjugators):
+            frontier = [key]
+            for k in frontier:    # a dict may not grow while it is iterated; a list may
+                x = members[k]
+                for s, g in conjugators:
+                    image = frozenset(number[elements[y].conj(g)] for y in k)
+                    if image not in members:
+                        members[image] = index.mul(x, s)
+                        frontier.append(image)
         found.update(members)
         explored.append((key, gens, members))
 
-    enter(frozenset([0]), [])
+    enter(start[0], list(start[1]), not limit or len(start[0]) == limit)
     for key, gens, _ in explored:
+        if len(key) == limit:
+            continue
         for seed in seeds:
             if key.issuperset(seed):
                 continue

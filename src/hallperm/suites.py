@@ -372,7 +372,7 @@ _GROUP_RUNNERS = {
 def run_group_task(task_name: str, spec: str, caps: Caps = DEFAULT_CAPS) -> SuiteResult:
     """Run one suite/probe on one catalog group (the parallel work unit)."""
     result = SuiteResult(name=task_name, group_count=1)
-    group = parse_group_spec(spec, caps)
+    group = parse_group_spec(spec)
     _GROUP_RUNNERS[task_name](result, spec, group, caps)
     return result
 
@@ -388,7 +388,7 @@ def run_suite(name: str, max_order: int, caps: Caps = DEFAULT_CAPS, jobs: int = 
     start = time.time()
     # spec names only: each task parses its group afresh, so no group and
     # none of its caches outlive its task
-    tasks = [(name, entry.name, caps) for entry in build_catalog(max_order, caps)]
+    tasks = [(name, entry.name, caps) for entry in build_catalog(max_order)]
     total = SuiteResult(name=name)
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing

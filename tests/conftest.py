@@ -218,3 +218,40 @@ def normalizer_ascent_sylow(group, p):
         gens.append(next(x for x in norm if is_p_power(x.order(), p) and tuple(x) not in members))
         members = closure_oracle(group.degree, gens)
     return gens
+
+
+def hall_sweep_oracle(group, pi):
+    """Reps of the pi-Hall classes, in order: the library's search before it
+    ran the subgroup join loop.  A Sylow subgroup P of the prime with the
+    most Sylow subgroups (ties to the larger prime) is joined with every
+    tuple of Sylow subgroups of the other primes of pi; the joins of the
+    Hall order, sorted by element set, are partitioned by
+    subgroup_conjugacy_classes."""
+    import itertools
+    from hallperm.group import group_from_elements, trivial_group
+    from hallperm.hall import pi_part
+    from hallperm.subgroup import all_sylow_subgroups, subgroup_conjugacy_classes, sylow
+    order = group.order()
+    target = pi_part(order, pi)
+    if target == 1:
+        return [trivial_group(group.degree)]
+    if target == order:
+        return [group]
+    relevant = [p for p in sorted(pi) if order % p == 0]
+    sylow_lists = {p: all_sylow_subgroups(group, p) for p in relevant}
+    fixed_p = max(relevant, key=lambda p: (len(sylow_lists[p]), p))
+    fixed = sylow(group, fixed_p).group
+    index = ElementIndex(group)
+    fixed_key = index.key(fixed)
+    fixed_gens = index.numbers(fixed.generators)
+    candidates = {}
+    for combo in itertools.product(*(sylow_lists[p] for p in relevant if p != fixed_p)):
+        gens = fixed_gens + [index.number[g] for q in combo for g in q.generators]
+        closed = index.join(fixed_key, gens, target)
+        if closed is None or len(closed) != target:
+            continue
+        key = frozenset(closed)
+        if key not in candidates:
+            candidates[key] = group_from_elements(group.degree, [index.elements[i] for i in key])
+    groups = [candidates[k] for k in sorted(candidates, key=_set_sort_key)]
+    return [rep for rep, _ in subgroup_conjugacy_classes(group, groups)]
