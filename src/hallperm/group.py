@@ -14,7 +14,9 @@ add_generator; the drain then stops as soon as the chain's order reaches it,
 which is sound because a chain's order never exceeds that of the group its
 strong generators come from.  group_over_blocks proves such a bound from a
 block system and seeds the chain with a direct product over the blocks.
-The stop depends only on the order, so the build stays deterministic.
+The stop depends only on the order, so the build stays deterministic.  When
+the direct product already has the bound's order, no chain is assembled on
+the whole degree.  Block-sized work reads permutations through BlockSlots.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import CapExceeded, DegreeMismatch, GroupError, NotASubgroup, Caps, DEFAULT_CAPS
-from .perm import Permutation
+from .perm import Permutation, conjugation
 
 
 class _Level:
@@ -81,7 +83,7 @@ class StabilizerChain:
         """
         chain = cls(degree)
         for block, part in zip(blocks, chains):
-            part._relabel_into(chain, block, lambda x, block=block: inflate(x, block, degree))
+            part._relabel_into(chain, block, _inflation(block, degree))
         return chain
 
     def conjugate(self, sigma: Permutation) -> "StabilizerChain":
@@ -96,7 +98,7 @@ class StabilizerChain:
         if len(sigma) != self.degree:
             raise DegreeMismatch(f"degree {len(sigma)} conjugator for a degree {self.degree} chain")
         chain = StabilizerChain(self.degree)
-        self._relabel_into(chain, sigma, lambda x: x.conj(sigma))
+        self._relabel_into(chain, sigma, conjugation(sigma))
         return chain
 
     def copy(self) -> "StabilizerChain":
@@ -263,12 +265,17 @@ class DirectFactorStructure:
     blocks hold the point sets of the factors (sorted tuples); shift, when
     present, cyclically permutes the blocks (wreath products).  The group's
     order is the product of the factors' orders, times the shift's order
-    when there is one.
+    when there is one.  slots reads permutations over the blocks (BlockSlots);
+    it is made on first use.
     """
 
     blocks: tuple
     factor_groups: tuple
     shift: Optional[Permutation] = None
+
+    @functools.cached_property
+    def slots(self) -> "BlockSlots":
+        return BlockSlots(self.blocks)
 
 
 class PermGroup:
@@ -348,13 +355,15 @@ class PermGroup:
         return i < len(elements) and elements[i] == p
 
     def _contains_blockwise(self, p: Permutation) -> bool:
-        """p maps each block onto itself and lies in the factor there."""
+        """p maps each block onto itself and lies in the factor there; the
+        test stops at the first block that p leaves or whose factor misses it."""
         factors = self.factors
-        try:
-            parts = [deflate(p, block) for block in factors.blocks]
-        except KeyError:        # p moves a point out of its block
-            return False
-        return all(f.contains(x) for f, x in zip(factors.factor_groups, parts))
+        restrict = factors.slots.restrict
+        for i, f in enumerate(factors.factor_groups):
+            x = restrict(p, i)
+            if x is None or not f.contains(x):
+                return False
+        return True
 
     def contains_group(self, other: "PermGroup") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -615,13 +624,14 @@ def pick_generators(closure, worklist, conjugators=()) -> list:
     so with the parent's generators the picks generate a normal closure."""
     gens = []
     worklist = deque(worklist)
+    conjugations = [conjugation(g) for g in conjugators]
     while worklist:
         s = worklist.popleft()
         if not closure.contains(s):
             closure.add_generator(s)
             gens.append(s)
-            worklist.extend(s.conj(g) for g in conjugators)
-    if not all(closure.contains(h.conj(g)) for h in gens for g in conjugators):
+            worklist.extend(conj(s) for conj in conjugations)
+    if not all(closure.contains(conj(h)) for h in gens for conj in conjugations):
         raise GroupError("normal closure is not closed under conjugation")
     return gens
 
@@ -728,11 +738,47 @@ def intersect_groups(a: PermGroup, b: PermGroup, caps: Caps = DEFAULT_CAPS) -> P
 # -- block decomposition helpers ------------------------------------------
 
 
-def deflate(p: Permutation, block) -> Permutation:
-    """Restrict p to a block it maps to itself, reindexed to 0..len(block)-1;
-    KeyError when p moves a point of the block out of it."""
-    pos = {pt: i for i, pt in enumerate(block)}
-    return Permutation([pos[p[pt]] for pt in block], check=True)
+class BlockSlots:
+    """Reads permutations block by block: one C gather per block takes a
+    permutation's images of the block's points, and one point -> slot
+    table, pt's index in its block, renumbers them."""
+
+    def __init__(self, blocks):
+        self._members = [frozenset(block) for block in blocks]
+        self._where = {members: i for i, members in enumerate(self._members)}
+        self._slot = {pt: i for block in blocks for i, pt in enumerate(block)}.__getitem__
+        # itemgetter(pt) returns a scalar, not a 1-tuple
+        self._images = [itemgetter(*block) if len(block) > 1 else _one_point(block[0])
+                        for block in blocks]
+
+    def actions(self, generators):
+        """Each generator's action on the blocks, as a permutation of their
+        indices, or None unless every generator maps each block onto a block."""
+        actions = []
+        for s in generators:
+            image = [self._where.get(frozenset(images(s))) for images in self._images]
+            if None in image:
+                return None
+            actions.append(Permutation(image, check=False))
+        return actions
+
+    def read(self, x: Permutation, i: int) -> Permutation:
+        """x restricted to block i and renumbered 0..len(block)-1, for an x
+        that maps block i onto itself; for an x that maps it onto another
+        block, the bijection x induces between the two blocks' positions.
+        No check is made."""
+        return tuple.__new__(Permutation, map(self._slot, self._images[i](x)))
+
+    def restrict(self, x: Permutation, i: int) -> Optional[Permutation]:
+        """read(x, i), or None when x moves a point of block i out of it."""
+        images = self._images[i](x)
+        if not self._members[i].issuperset(images):
+            return None
+        return tuple.__new__(Permutation, map(self._slot, images))
+
+
+def _one_point(pt):
+    return lambda x: (x[pt],)
 
 
 def inflate(p: Permutation, block, degree: int) -> Permutation:
@@ -740,18 +786,31 @@ def inflate(p: Permutation, block, degree: int) -> Permutation:
     return combine_blockwise([p], [block], degree)
 
 
+def _inflation(block, degree: int):
+    """The map inflate(., block, degree), with the block's gather taken once."""
+    block = tuple(block)
+    if len(block) < 2:
+        # itemgetter(i) returns a scalar
+        return lambda x: inflate(x, block, degree)
+    gather = _gather_index((block,), degree)
+    head = tuple(range(degree))
+    return lambda x: tuple.__new__(Permutation, gather(head + itemgetter(*x)(block)))
+
+
 def block_components(group: PermGroup, blocks):
     """Per-block projections of a group mapping every block onto itself, or None.
 
-    Returns deflated PermGroups, one per block.  The group decomposes as the
+    Returns one PermGroup per block, generated by the generators'
+    restrictions renumbered 0..len(block)-1.  The group decomposes as the
     direct product of the projections exactly when the orders multiply up to
     the group order; callers that need that property must check it.
     """
-    actions = _block_action(group.generators, blocks)
+    slots = BlockSlots(blocks)
+    actions = slots.actions(group.generators)
     if actions is None or not all(a.is_identity for a in actions):
         return None
-    return [PermGroup(len(block), [deflate(g, block) for g in group.generators])
-            for block in blocks]
+    return [PermGroup(len(block), [slots.read(g, i) for g in group.generators])
+            for i, block in enumerate(blocks)]
 
 
 def is_partition(blocks, degree: int) -> bool:
@@ -770,19 +829,6 @@ def _as_partition(blocks, degree: int):
     return blocks if is_partition(blocks, degree) else None
 
 
-def _block_action(generators, blocks):
-    """Each generator's action on the blocks, as a permutation of their
-    indices, or None unless every generator maps each block onto a block."""
-    where = {frozenset(b): i for i, b in enumerate(blocks)}
-    actions = []
-    for s in generators:
-        image = [where.get(frozenset(s[pt] for pt in b)) for b in blocks]
-        if None in image:
-            return None
-        actions.append(Permutation(image, check=False))
-    return actions
-
-
 def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str] = None):
     """<generators>, its chain grown from the blocks when they are a block
     system for it, else with the plain chain built lazily, as PermGroup does.
@@ -797,24 +843,33 @@ def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str]
       stabilizer G_B (Schreier's lemma), and P_B is generated by their
       restrictions to B.  The kernel of the action on the blocks lies in
       the product of its projections, each inside a conjugate of a P_B.
+      In an orbit of one block the t_j are 1 and G_B's generators are G's.
     - The generators and Schreier generators that move only the points of
       one block, with their conjugates by the t_j onto the other blocks of
-      its orbit, lie in G and generate a direct product W <= G.  Its chain
-      is assembled from block-sized builds, one per distinct generator set.
-    - The generators are added to W's chain by Schreier-Sims, which stops
-      as soon as the order reaches U (see _drain).  When U is not reached
-      the drain runs to its end, as in a plain build.
-
-    When every generator fixes every block and the order is U, the group is
-    the direct product of the P_B: a split_group with them as its factors.
+      its orbit, lie in G and generate a direct product W <= G of block
+      groups W_j, one group per distinct generator set.  The restriction of
+      x^c, for c carrying block i onto block j, is x's restriction to block
+      i conjugated by the bijection c induces, so no conjugate is formed on
+      the whole degree.
+    - When every generator fixes every block and |W| = prod_j |W_j| = U, G
+      is W, as W <= G and |G| <= U: a split_group with the P_B as its
+      factors (each W_j lies in its P_B and has its order), and no chain
+      is assembled on the whole degree.
+    - Otherwise the generators are added to W's chain by Schreier-Sims,
+      which stops as soon as the order reaches U (see _drain).  When U is
+      not reached the drain runs to its end, as in a plain build.  When
+      every generator fixes every block and the order is U, the group is
+      again a split_group, with this chain.
     """
     group = PermGroup(degree, generators, provenance=provenance)
     gens = group.generators
     blocks = _as_partition(blocks, degree)
-    actions = _block_action(gens, blocks) if blocks is not None else None
+    if blocks is None:
+        return group
+    slots = BlockSlots(blocks)
+    actions = slots.actions(gens)
     if not actions:
         return group
-    inverses = [~s for s in gens]
     shared = {}
 
     def local(size, perms):
@@ -823,7 +878,7 @@ def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str]
 
     bound = PermGroup(len(blocks), actions).order()
     carry, carry_inv, orbit_of = {}, {}, {}
-    schreier = []
+    schreier = {}       # the Schreier generators of every orbit, each once
     projections = [None] * len(blocks)
     for first in range(len(blocks)):
         if first in carry:
@@ -831,15 +886,15 @@ def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str]
         carry[first] = carry_inv[first] = group.identity
         orbit = [first]
         for j in orbit:
-            for s, s_inv, action in zip(gens, inverses, actions):
+            for s, action in zip(gens, actions):
                 k = action[j]
                 if k not in carry:
-                    carry[k], carry_inv[k] = carry[j] * s, s_inv * carry_inv[j]
+                    carry[k], carry_inv[k] = carry[j] * s, ~s * carry_inv[j]
                     orbit.append(k)
-        stabilizer = [carry[j] * s * carry_inv[action[j]]
-                      for j in orbit for s, action in zip(gens, actions)]
-        schreier += stabilizer
-        p_b = local(len(blocks[first]), [deflate(x, blocks[first]) for x in stabilizer])
+        stabilizer = gens if len(orbit) == 1 else [
+            carry[j] * s * carry_inv[action[j]] for j in orbit for s, action in zip(gens, actions)]
+        schreier.update(dict.fromkeys(stabilizer))
+        p_b = local(len(blocks[first]), [slots.read(x, first) for x in stabilizer])
         bound *= p_b.order() ** len(orbit)
         for j in orbit:
             orbit_of[j] = orbit
@@ -848,21 +903,27 @@ def group_over_blocks(degree: int, generators, blocks, provenance: Optional[str]
     # a generator that moves one block's points only fixes every block, so
     # it is among the Schreier generators of each orbit's first block
     block_of = {pt: i for i, b in enumerate(blocks) for pt in b}
-    supported = defaultdict(dict)   # block -> elements moving only its points
+    supported = defaultdict(dict)   # block j -> the W_j generators
     for x in schreier:
         moved = {block_of[pt] for pt in x.support()}
         if len(moved) == 1:
             i = moved.pop()
+            restricted = slots.read(x, i)
             for j in orbit_of[i]:
-                y = x.conj(carry_inv[i] * carry[j])
+                # x^c restricted to block j, for c = carry_inv[i] * carry[j]
+                y = restricted
+                if j != i:
+                    y = restricted.conj(slots.read(carry_inv[i] * carry[j], i))
                 supported[j].setdefault(y, None)
-    parts = [(blocks[j], local(len(blocks[j]), [deflate(y, blocks[j]) for y in supported[j]]))
-             for j in sorted(supported)]
+    parts = [(blocks[j], local(len(blocks[j]), list(supported[j]))) for j in sorted(supported)]
+    fixes_blocks = all(a.is_identity for a in actions)
+    if fixes_blocks and math.prod(w.order() for _, w in parts) == bound:
+        return split_group(degree, gens, blocks, projections, provenance=provenance)
     chain = StabilizerChain.direct_product(degree, [b for b, _ in parts],
                                            [w.chain for _, w in parts])
     for s in gens:
         chain.add_generator(s, bound)
-    if chain.order() == bound and all(a.is_identity for a in actions):
+    if chain.order() == bound and fixes_blocks:
         return split_group(degree, gens, blocks, projections, chain=chain, provenance=provenance)
     group._chain = chain
     return group
@@ -933,15 +994,15 @@ def split_conjugate(a: PermGroup, g: Permutation, conj_gens) -> Optional[PermGro
     are a's conjugated (StabilizerChain.conjugate); no Schreier-Sims runs.
     """
     blocks = a.factors.blocks
-    actions = _block_action([g], blocks)
+    slots = a.factors.slots
+    actions = slots.actions([g])
     if actions is None:
         return None
     moved = actions[0]
     components = [None] * len(blocks)
-    for i, (block, part) in enumerate(zip(blocks, a.factors.factor_groups)):
-        position = {pt: k for k, pt in enumerate(blocks[moved[i]])}
-        sigma = Permutation([position[g[pt]] for pt in block], check=False)
-        components[moved[i]] = PermGroup(len(block), [x.conj(sigma) for x in part.generators],
+    for i, part in enumerate(a.factors.factor_groups):
+        sigma = slots.read(g, i)
+        components[moved[i]] = PermGroup(len(sigma), map(conjugation(sigma), part.generators),
                                          chain=part.chain.conjugate(sigma))
     return split_group(a.degree, conj_gens, blocks, components)
 

@@ -6,7 +6,10 @@ Points are 0-based throughout.
 
 A product is formed in C: itemgetter(*p) applied to q gives the tuple
 (q[p[0]], q[p[1]], ...), wrapped by tuple.__new__ without the permutation
-check.  Degrees 0 and 1 take their own branch, where the product is q.
+check.  A conjugate h^g is two such gathers: itemgetter(*h) applied to g
+gives t with t[i] = g[h[i]], and (h^g)[j] = t[g^-1[j]].  conjugation(g)
+builds g^-1's gather once for every h it is applied to.  Degrees 0 and 1
+take their own branch, where the product is q and the conjugate is h.
 """
 
 from __future__ import annotations
@@ -96,10 +99,7 @@ class Permutation(tuple):
         return tuple.__new__(Permutation, itemgetter(*self)(other))
 
     def __invert__(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, x in enumerate(self):
-            inv[x] = i
-        return Permutation(inv, check=False)
+        return tuple.__new__(Permutation, inverse_images(self))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -115,12 +115,12 @@ class Permutation(tuple):
 
     def conj(self, g: "Permutation") -> "Permutation":
         """Return self^g = g^-1 * self * g."""
-        if len(self) != len(g):
-            raise DegreeMismatch(f"degree {len(self)} vs {len(g)}")
-        images = [0] * len(self)
-        for i, hi in enumerate(self):
-            images[g[i]] = g[hi]
-        return Permutation(images, check=False)
+        n = len(self)
+        if n != len(g):
+            raise DegreeMismatch(f"degree {n} vs {len(g)}")
+        if n < 2:
+            return self
+        return tuple.__new__(Permutation, itemgetter(*inverse_images(g))(itemgetter(*self)(g)))
 
     def order(self) -> int:
         cycles = self.cycles()
@@ -164,9 +164,32 @@ class Permutation(tuple):
         return f"Permutation[{self.cycle_string()}, deg {len(self)}]"
 
 
+def inverse_images(p) -> list:
+    """The images of p^-1, as a list."""
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return inv
+
+
 @functools.lru_cache(maxsize=None)
 def _identity_images(degree: int) -> tuple:
     return tuple(range(degree))
+
+
+def conjugation(g: Permutation):
+    """The map h -> h.conj(g), with g^-1's gather built once for every h."""
+    n = len(g)
+    if n < 2:
+        return lambda h: h.conj(g)
+    inverse = itemgetter(*inverse_images(g))
+
+    def conj(h):
+        if len(h) != n:
+            raise DegreeMismatch(f"degree {len(h)} vs {n}")
+        return tuple.__new__(Permutation, inverse(itemgetter(*h)(g)))
+
+    return conj
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

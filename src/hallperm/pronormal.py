@@ -58,6 +58,7 @@ from .group import (ElementIndex, PermGroup, Permutation, attach_block_structure
                     normal_closure, orbit, right_cosets, right_transversal, split_conjugate,
                     split_join, subgroup_check)
 from .hall import is_pi_free, is_pi_number, is_pi_separable, pi_part
+from .perm import conjugation
 from .subgroup import (_as_group, _normalizer, conjugate_into, find_conjugator_in, is_normal,
                        normalizer, subgroup_classes)
 
@@ -270,7 +271,7 @@ def pronormality_instance(parent: PermGroup, h, g: Permutation,
     subgroup_check(parent, h)
     if not parent.contains(g):
         raise GroupError("witness candidate lies outside the ambient group")
-    conj_gens = [x.conj(g) for x in h.generators]
+    conj_gens = list(map(conjugation(g), h.generators))
     if all(h.contains(c) for c in conj_gens):
         return PronormalityReport(h, parent, True, checked_coset_count=1)
     norm = _normalizer(parent, h, caps) if parent.order() <= caps.enum_cap else None
@@ -329,7 +330,7 @@ def is_pronormal(parent: PermGroup, h, caps: Caps = DEFAULT_CAPS) -> Pronormalit
     checked = 0
     for t in right_transversal(parent, norm, caps)[1:]:
         checked += 1
-        report = _decide_coset(parent, h, t, [x.conj(t) for x in h.generators], norm, caps)
+        report = _decide_coset(parent, h, t, list(map(conjugation(t), h.generators)), norm, caps)
         if report.verdict is not True:
             return replace(report, checked_coset_count=checked)
     return PronormalityReport(h, parent, True, checked_coset_count=checked)
@@ -352,7 +353,7 @@ def replay_non_pronormality(parent: PermGroup, h: PermGroup, g: Permutation, joi
         return False, "witness g is outside the ambient group"
     if blocks is not None and not is_partition(blocks, parent.degree):
         return False, f"blocks do not partition the points 0..{parent.degree - 1}"
-    joint, h, hg = _split_instance(h, g, tuple(x.conj(g) for x in h.generators), blocks)
+    joint, h, hg = _split_instance(h, g, tuple(map(conjugation(g), h.generators)), blocks)
     if joint.order() != joint_order:
         return False, "joint order mismatch"
     status, data = _decide_in_joint(joint, h, hg, caps)

@@ -9,12 +9,14 @@ one and reruns produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import CapExceeded, GroupError, Caps, DEFAULT_CAPS
+from .errors import CapExceeded, DegreeMismatch, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, NumberClosure, PermGroup, Permutation, combine_blockwise,
                     decompose_blockwise, group_from_elements, orbit, pick_generators,
                     subgroup_check, trivial_group)
 from .numth import is_p_power, is_prime, p_part, prime_divisors
+from .perm import conjugation, inverse_images
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,24 @@ class ConjugacyWitness:
 
 
 def conjugated_key(elems, g: Permutation):
-    return frozenset(e.conj(g) for e in elems)
+    return frozenset(map(conjugation(g), elems))
+
+
+def _conjugating_into(elements, gens, target_set):
+    """The positions i, ascending, with h^elements[i] in target_set for every h in gens.
+
+    h^x as in Permutation.conj, with each h's gather taken once: the tuples
+    it gives hash and compare as the permutations they list, and a
+    non-identity h has degree >= 2, so every gather gives a tuple.
+    """
+    if not gens:
+        yield from range(len(elements))
+        return
+    gathers = [itemgetter(*h) for h in gens]
+    for i, x in enumerate(elements):
+        inverse = itemgetter(*inverse_images(x))
+        if all(inverse(h(x)) in target_set for h in gathers):
+            yield i
 
 
 def is_normal(parent: PermGroup, sub) -> bool:
@@ -106,9 +125,8 @@ def _normalizer(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS) ->
         return parent if cached is _WHOLE else cached
 
     elements = parent.elements(caps)
-    sub_set = sub.element_set(caps)
-    gens = sub.generators
-    members = [g for g in elements if all(h.conj(g) in sub_set for h in gens)]
+    members = [elements[i] for i in _conjugating_into(elements, sub.generators,
+                                                        sub.element_set(caps))]
     if len(members) == len(elements):
         parent._cache[cache_key] = _WHOLE
         return parent
@@ -188,7 +206,7 @@ def _join_orbits(index: ElementIndex, seeds, limit=None, start=(frozenset([0]), 
     short of G.
     """
     elements, number, n = index.elements, index.number, len(index.elements)
-    conjugators = [(s, elements[s]) for s in index.generators]
+    conjugators = [(s, conjugation(elements[s])) for s in index.generators]
     whole = frozenset(range(n))
     found, explored, short = set(), [], set()
 
@@ -196,13 +214,13 @@ def _join_orbits(index: ElementIndex, seeds, limit=None, start=(frozenset([0]), 
         members = {key: 0}
         # gens generate the key, so it is normal, and its own orbit, when their
         # conjugates stay in it
-        if orbit and not all(number[elements[y].conj(g)] in key
-                             for y in gens for _, g in conjugators):
+        if orbit and not all(number[conj(elements[y])] in key
+                             for y in gens for _, conj in conjugators):
             frontier = [key]
             for k in frontier:    # a dict may not grow while it is iterated; a list may
                 x = members[k]
-                for s, g in conjugators:
-                    image = frozenset(number[elements[y].conj(g)] for y in k)
+                for s, conj in conjugators:
+                    image = frozenset(number[conj(elements[y])] for y in k)
                     if image not in members:
                         members[image] = index.mul(x, s)
                         frontier.append(image)
@@ -431,13 +449,10 @@ def find_conjugator_in(joint: PermGroup, source: PermGroup, target: PermGroup,
     """
     elements = joint.elements(caps)
     target_set = target.element_set(caps)
-    gens = source.generators
-    scanned = 0
-    for x in elements:
-        scanned += 1
-        if all(h.conj(x) in target_set for h in gens):
-            return x, scanned
-    return None, scanned
+    if source.degree != joint.degree:
+        raise DegreeMismatch(f"degree {source.degree} subgroup in a degree {joint.degree} joint")
+    i = next(_conjugating_into(elements, source.generators, target_set), None)
+    return (None, len(elements)) if i is None else (elements[i], i + 1)
 
 
 def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):
@@ -454,12 +469,13 @@ def overgroups(parent: PermGroup, sub, caps: Caps = DEFAULT_CAPS):
 
 def element_conjugacy_classes(parent: PermGroup, caps: Caps = DEFAULT_CAPS):
     """Conjugacy classes of elements, each a sorted list, reps first elements."""
+    conjugations = [conjugation(g) for g in parent.generators]
     visited = set()
     classes = []
     for e in parent.elements(caps):
         if e in visited:
             continue
-        cls = orbit([e], parent.generators, lambda x, g: x.conj(g))
+        cls = orbit([e], conjugations, lambda x, conj: conj(x))
         visited.update(cls)
         classes.append(sorted(cls))
     return classes

@@ -547,6 +547,57 @@ def test_wreath_replay_builds_no_chain_on_the_whole_degree(monkeypatch):
         assert any(component._chain is chain for chain in rebuilt)
 
 
+@functools.lru_cache(maxsize=None)
+def _wreath_replay_certificate_texts(count=12, seed=1, length=20):
+    """count distinct theorem3 non-pronormality certificates, as JSON: the
+    False verdicts of pronormality_instance on seeded random words in G's
+    generators, made as the wreath-replay benchmark makes them."""
+    import random
+    pi = frozenset({2, 3})
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, pi)[:2]
+    pair = wreath_hall_pair(base, u, v, pi, 5)
+    group, h = pair.wreath.group, pair.hall_first.group
+    rng = random.Random(seed)
+    texts = {}
+    while len(texts) < count:
+        g = group.identity
+        for _ in range(length):
+            g = g * rng.choice(group.generators)
+        report = pronormality_instance(group, h, g)
+        if report.verdict is False:
+            cert = certs.non_pronormality_certificate(group, report, pi=pi)
+            texts.setdefault(cert["digest"], json.dumps(cert))
+    return tuple(texts.values())
+
+
+def test_wreath_replay_works_at_block_size(monkeypatch):
+    # H = V x U^4 is split with no whole-degree chain, so a replay assembles
+    # at most one 40-point chain, G's, and adds at most its 4 generators to
+    # it; before H's rebuild was split from its blocks it was 2 and 19
+    from hallperm.group import StabilizerChain
+    texts = _wreath_replay_certificate_texts()
+    assert len(texts) == 12
+    direct_product = StabilizerChain.direct_product.__func__
+    add_generator = StabilizerChain.add_generator
+    counts = {"direct_product": 0, "add_generator": 0}
+
+    def counted_product(cls, degree, blocks, chains):
+        counts["direct_product"] += degree == 40
+        return direct_product(cls, degree, blocks, chains)
+
+    def counted_add(chain, g, bound=None):
+        counts["add_generator"] += chain.degree == 40
+        return add_generator(chain, g, bound)
+
+    monkeypatch.setattr(StabilizerChain, "direct_product", classmethod(counted_product))
+    monkeypatch.setattr(StabilizerChain, "add_generator", counted_add)
+    for text in texts:
+        counts.update(direct_product=0, add_generator=0)
+        assert certs.verify_certificate(json.loads(text))[0]
+        assert counts["direct_product"] <= 1 and counts["add_generator"] <= 4, counts
+
+
 def _forge_sym3_hall_classes(edit):
     """The genuine sym:3, pi = {2} hall-classes certificate, edited and re-digested."""
     cert, _ = _hall_classes(False)

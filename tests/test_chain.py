@@ -218,10 +218,60 @@ def _agrees_with_the_plain_chain(group, blocked):
 def test_chain_over_blocks_agrees_on_catalog_groups(spec):
     group = parse_group_spec(spec)
     blocked = group_over_blocks(group.degree, group.generators, group.factors.blocks)
-    assert blocked._chain is not None
-    # a product splits over its blocks; a wreath product's shift moves them
+    # a product's generators move one block each, so it is split with no
+    # whole-degree chain; a wreath product's shift moves the blocks
+    assert (blocked._chain is None) == (group.factors.shift is None)
     assert (blocked.factors is None) == (group.factors.shift is not None)
     _agrees_with_the_plain_chain(group, blocked)
+
+
+@pytest.mark.parametrize("spec", BLOCKED + ("wreath(psl2:7,5)",))
+def test_a_chain_over_blocks_conjugates_to_a_valid_chain(spec):
+    # a split group's chain is assembled from its components' on first use
+    group = parse_group_spec(spec)
+    blocked = group_over_blocks(group.degree, group.generators, group.factors.blocks)
+    n = group.degree
+    rng = random.Random(17)
+    for _ in range(3):
+        sigma = Permutation(rng.sample(range(n), n))
+        chain = blocked.chain.conjugate(sigma)
+        chain.check_invariants()
+        assert chain.order() == group.order()
+        assert chain.base == tuple(sigma[b] for b in blocked.chain.base)
+        assert all(chain.contains(x.conj(sigma)) for x in group.generators)
+
+
+def _block_respecting(blocks, degree, rng):
+    """A random permutation mapping each block onto a block of its size."""
+    order = list(range(len(blocks)))
+    for size in {len(b) for b in blocks}:
+        same = [i for i in order if len(blocks[i]) == size]
+        for i, j in zip(same, rng.sample(same, len(same))):
+            order[i] = j
+    images = list(range(degree))
+    for i, block in enumerate(blocks):
+        target = rng.sample(blocks[order[i]], len(block))
+        for pt, image in zip(block, target):
+            images[pt] = image
+    return Permutation(images)
+
+
+@pytest.mark.parametrize("spec", BLOCKED + ("wreath(psl2:7,5)",))
+def test_membership_over_blocks_agrees_with_the_plain_chain(spec):
+    # a split group tests membership block by block and stops at the first
+    # block that an element leaves or whose factor misses it
+    group = parse_group_spec(spec)
+    blocks = group.factors.blocks
+    blocked = group_over_blocks(group.degree, group.generators, blocks)
+    built = _chain(group)
+    rng = random.Random(5)
+    n = group.degree
+    members = _words(group, rng)
+    others = ([_block_respecting(blocks, n, rng) for _ in range(200)]
+              + [Permutation(rng.sample(range(n), n)) for _ in range(50)])
+    assert all(blocked.contains(x) for x in members)
+    assert [blocked.contains(x) for x in others] == [built.contains(x) for x in others]
+    assert not all(built.contains(x) for x in others)
 
 
 def test_a_split_group_over_its_blocks_carries_its_components():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hallperm.errors import DegreeMismatch
-from hallperm.perm import Permutation, compose
+from hallperm.perm import Permutation, compose, conjugation
 
 from conftest import perm
 
@@ -89,11 +89,6 @@ def test_two_sided_identity_and_inverse(a):
     assert a * ~a == e == ~a * a
 
 
-@given(perms6, perms6)
-def test_conj_via_products(h, g):
-    assert h.conj(g) == ~g * h * g
-
-
 @given(perms6, perms6, perms6)
 def test_conj_is_a_right_action(h, g1, g2):
     assert h.conj(g1 * g2) == h.conj(g1).conj(g2)
@@ -134,3 +129,34 @@ def test_product_matches_the_reference_definition(pair):
     product = p * q
     assert type(product) is Permutation
     assert product == Permutation([q[p[i]] for i in range(len(p))])
+
+
+@given(perm_pairs())
+def test_conj_via_products(pair):
+    h, g = pair
+    conjugate = h.conj(g)
+    assert type(conjugate) is Permutation and type(conjugation(g)(h)) is Permutation
+    assert conjugate == ~g * h * g == conjugation(g)(h)
+    assert all(conjugate[g[i]] == g[h[i]] for i in range(len(h)))
+
+
+def test_conj_at_degrees_0_1_and_2():
+    empty, one = Permutation(()), Permutation((0,))
+    for p in (empty, one):
+        assert p.conj(p) == conjugation(p)(p) == p
+        assert type(p.conj(p)) is Permutation
+    e, t = Permutation((0, 1)), Permutation((1, 0))
+    for h in (e, t):
+        for g in (e, t):
+            assert h.conj(g) == conjugation(g)(h) == h
+            assert type(h.conj(g)) is Permutation
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 2), (2, 3), (5, 6)])
+def test_conj_rejects_degree_mismatch_in_both_orders(n, m):
+    p, q = Permutation.identity(n), Permutation.identity(m)
+    for h, g in ((p, q), (q, p)):
+        with pytest.raises(DegreeMismatch):
+            h.conj(g)
+        with pytest.raises(DegreeMismatch):
+            conjugation(g)(h)
