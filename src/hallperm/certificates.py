@@ -17,7 +17,7 @@ import os
 
 from .errors import GroupError, NotASubgroup, Caps, DEFAULT_CAPS
 from .group import PermGroup, Permutation, group_over_blocks, subgroup_check
-from .hall import SylowTower, hall_subgroups, pi_part, is_pi_number
+from .hall import PrimeSet, SylowTower, hall_subgroups, pi_part, is_pi_number
 from .subgroup import ConjugacyWitness, Subgroup, is_conjugate
 from .pronormal import replay_non_pronormality, replay_non_strong_pronormality
 
@@ -269,7 +269,7 @@ def _verify_non_strong_pronormality(cert, caps):
 def _verify_hall_classes(cert, caps):
     group = rebuild_group(cert["group"])
     payload = cert["payload"]
-    pi = set(cert["pi"])
+    pi = PrimeSet(cert["pi"])
     target = pi_part(group.order(), pi)
     if payload["hall_order"] != target:
         return False, "hall order mismatch"

@@ -15,7 +15,7 @@ from .errors import GroupError, Caps, DEFAULT_CAPS
 from .group import DirectFactorStructure, GroupHom, PermGroup, Permutation, inflate, split_group
 from .hall import is_hall_subgroup, pi_part
 from .numth import is_prime, prime_divisors
-from .subgroup import Subgroup, is_conjugate
+from .subgroup import Subgroup, _as_group, is_conjugate
 
 
 def _self_check(group: PermGroup, expected_order: int, label: str) -> PermGroup:
@@ -460,7 +460,6 @@ def wreath_hall_pair(base: PermGroup, u, v, pi, p: int,
     pi-Hall subgroups of the base and p must be a prime outside pi (the
     construction is vacuous otherwise).
     """
-    from .subgroup import _as_group
     u = _as_group(u)
     v = _as_group(v)
     pi = frozenset(pi)

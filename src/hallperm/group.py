@@ -26,11 +26,10 @@ import math
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import CapExceeded, DegreeMismatch, GroupError, NotASubgroup, Caps, DEFAULT_CAPS
-from .perm import Permutation, conjugation
+from .perm import Permutation, conjugation, gather
 
 
 class _Level:
@@ -570,7 +569,7 @@ def right_cosets(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS):
     reps = []
     # assigning to a present key keeps that key, so every key stays an element
     lookup = dict.fromkeys(elements)
-    claims = _gathers(sub.elements(caps), parent.degree)
+    claims = [gather(p) for p in sub.elements(caps)]
     for e in elements:
         if lookup[e] is not None:
             continue
@@ -580,18 +579,9 @@ def right_cosets(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS):
             lookup[claim(e)] = idx
     if len(reps) * len(claims) != len(elements):
         raise GroupError("coset decomposition does not cover the group")
-    cached = reps, lookup, _gathers(reps, parent.degree)
+    cached = reps, lookup, [gather(r) for r in reps]
     parent._cache[cache_key] = cached
     return cached
-
-
-def _gathers(perms, degree: int) -> list:
-    """One callable per p in perms, mapping x to the image tuple of p * x."""
-    if degree < 2:
-        # itemgetter() raises and itemgetter(i) returns a scalar; the only
-        # permutation of degree 0 or 1 is the identity, and p * x is x
-        return [tuple] * len(perms)
-    return [itemgetter(*p) for p in perms]
 
 
 def right_transversal(parent: PermGroup, sub: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -710,7 +700,7 @@ def coset_action(parent: PermGroup, normal_sub: PermGroup, caps: Caps = DEFAULT_
     def act(p: Permutation) -> Permutation:
         if len(p) != degree:
             raise DegreeMismatch(f"degree {degree} vs {len(p)}")
-        return Permutation([lookup[gather(p)] for gather in gathers], check=False)
+        return Permutation([lookup[step(p)] for step in gathers], check=False)
 
     gen_images = [act(g) for g in parent.generators]
     hom = GroupHom(parent, index, gen_images, apply=act)
@@ -747,9 +737,7 @@ class BlockSlots:
         self._members = [frozenset(block) for block in blocks]
         self._where = {members: i for i, members in enumerate(self._members)}
         self._slot = {pt: i for block in blocks for i, pt in enumerate(block)}.__getitem__
-        # itemgetter(pt) returns a scalar, not a 1-tuple
-        self._images = [itemgetter(*block) if len(block) > 1 else _one_point(block[0])
-                        for block in blocks]
+        self._images = [gather(block) for block in blocks]
 
     def actions(self, generators):
         """Each generator's action on the blocks, as a permutation of their
@@ -777,10 +765,6 @@ class BlockSlots:
         return tuple.__new__(Permutation, map(self._slot, images))
 
 
-def _one_point(pt):
-    return lambda x: (x[pt],)
-
-
 def inflate(p: Permutation, block, degree: int) -> Permutation:
     """Embed a block-indexed permutation back into the full point set."""
     return combine_blockwise([p], [block], degree)
@@ -789,12 +773,9 @@ def inflate(p: Permutation, block, degree: int) -> Permutation:
 def _inflation(block, degree: int):
     """The map inflate(., block, degree), with the block's gather taken once."""
     block = tuple(block)
-    if len(block) < 2:
-        # itemgetter(i) returns a scalar
-        return lambda x: inflate(x, block, degree)
-    gather = _gather_index((block,), degree)
+    index = _gather_index((block,), degree)
     head = tuple(range(degree))
-    return lambda x: tuple.__new__(Permutation, gather(head + itemgetter(*x)(block)))
+    return lambda x: tuple.__new__(Permutation, index(head + gather(x)(block)))
 
 
 def block_components(group: PermGroup, blocks):
@@ -1040,8 +1021,6 @@ def combine_blockwise(parts, blocks, degree: int) -> Permutation:
     points (_gather_index), so a point outside every block keeps itself.
     """
     blocks = tuple(map(tuple, blocks))
-    if degree < 2:
-        return Permutation.identity(degree)
     table = list(range(degree))
     for part, block in zip(parts, blocks):
         table.extend(map(block.__getitem__, part))
@@ -1050,7 +1029,7 @@ def combine_blockwise(parts, blocks, degree: int) -> Permutation:
 
 @functools.lru_cache(maxsize=256)
 def _gather_index(blocks, degree: int):
-    """itemgetter reading, for each point, its slot in a table that holds
+    """The gather reading, for each point, its slot in a table that holds
     the identity's degree images followed by the images on each block in
     turn; a point in no block reads its identity slot."""
     index = list(range(degree))
@@ -1059,7 +1038,7 @@ def _gather_index(blocks, degree: int):
         for pt in block:
             index[pt] = slot
             slot += 1
-    return itemgetter(*index)
+    return gather(index)
 
 
 # -- generator-file ingestion ----------------------------------------------

@@ -56,8 +56,7 @@ def pi_part(n: int, pi) -> int:
 
 def is_pi_number(n: int, pi) -> bool:
     for p in set(pi):
-        while n % p == 0:
-            n //= p
+        n //= p_part(n, p)
     return n == 1
 
 

@@ -37,8 +37,15 @@ def prime_divisors(n: int):
     return out
 
 
+def _check_base(p: int):
+    # n % 1 == 0 and n % -1 == 0 for every n, so a loop dividing out p would never stop
+    if p < 2:
+        raise ValueError(f"{p} is not a base >= 2")
+
+
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n, for p >= 2."""
+    _check_base(p)
     part = 1
     while n % p == 0:
         n //= p
@@ -47,7 +54,8 @@ def p_part(n: int, p: int) -> int:
 
 
 def is_p_power(n: int, p: int) -> bool:
-    """True when n is a positive power of p (n = 1 counts as p^0)."""
+    """True when n is a positive power of p (n = 1 counts as p^0), for p >= 2."""
+    _check_base(p)
     while n % p == 0:
         n //= p
     return n == 1

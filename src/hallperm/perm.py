@@ -4,12 +4,12 @@ Composition is left to right: (p * q)(x) = q(p(x)).  Exponent notation then
 reads the usual way, x^(pq) = (x^p)^q, and conjugation is h^g = g^-1 * h * g.
 Points are 0-based throughout.
 
-A product is formed in C: itemgetter(*p) applied to q gives the tuple
+A product is formed in C: gather(p) applied to q gives the tuple
 (q[p[0]], q[p[1]], ...), wrapped by tuple.__new__ without the permutation
-check.  A conjugate h^g is two such gathers: itemgetter(*h) applied to g
-gives t with t[i] = g[h[i]], and (h^g)[j] = t[g^-1[j]].  conjugation(g)
-builds g^-1's gather once for every h it is applied to.  Degrees 0 and 1
-take their own branch, where the product is q and the conjugate is h.
+check.  A conjugate h^g is two such gathers: gather(h) applied to g gives
+t with t[i] = g[h[i]], and (h^g)[j] = t[g^-1[j]].  conjugation(g) builds
+g^-1's gather once for every h it is applied to.  gather hides
+operator.itemgetter's arity quirks; no other module imports itemgetter.
 """
 
 from __future__ import annotations
@@ -92,11 +92,9 @@ class Permutation(tuple):
         n = len(self)
         if n != len(other):
             raise DegreeMismatch(f"degree {n} vs {len(other)}")
-        if n < 2:
-            # itemgetter() raises and itemgetter(i) returns a scalar; the only
-            # permutation of degree 0 or 1 is the identity
-            return tuple.__new__(Permutation, other)
-        return tuple.__new__(Permutation, itemgetter(*self)(other))
+        if n > 1:  # products are the hottest gather, so they skip gather's call
+            return tuple.__new__(Permutation, itemgetter(*self)(other))
+        return tuple.__new__(Permutation, gather(self)(other))
 
     def __invert__(self) -> "Permutation":
         return tuple.__new__(Permutation, inverse_images(self))
@@ -118,9 +116,7 @@ class Permutation(tuple):
         n = len(self)
         if n != len(g):
             raise DegreeMismatch(f"degree {n} vs {len(g)}")
-        if n < 2:
-            return self
-        return tuple.__new__(Permutation, itemgetter(*inverse_images(g))(itemgetter(*self)(g)))
+        return tuple.__new__(Permutation, gather(inverse_images(g))(gather(self)(g)))
 
     def order(self) -> int:
         cycles = self.cycles()
@@ -164,6 +160,15 @@ class Permutation(tuple):
         return f"Permutation[{self.cycle_string()}, deg {len(self)}]"
 
 
+def gather(points):
+    """The map x -> tuple(x[p] for p in points), formed in C by itemgetter
+    for two or more points; itemgetter() raises and itemgetter(p) returns
+    the scalar x[p], so fewer points take a Python map."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda x: tuple([x[p] for p in points])
+
+
 def inverse_images(p) -> list:
     """The images of p^-1, as a list."""
     inv = [0] * len(p)
@@ -180,14 +185,12 @@ def _identity_images(degree: int) -> tuple:
 def conjugation(g: Permutation):
     """The map h -> h.conj(g), with g^-1's gather built once for every h."""
     n = len(g)
-    if n < 2:
-        return lambda h: h.conj(g)
-    inverse = itemgetter(*inverse_images(g))
+    inverse = gather(inverse_images(g))
 
     def conj(h):
         if len(h) != n:
             raise DegreeMismatch(f"degree {len(h)} vs {n}")
-        return tuple.__new__(Permutation, inverse(itemgetter(*h)(g)))
+        return tuple.__new__(Permutation, inverse(gather(h)(g)))
 
     return conj
 

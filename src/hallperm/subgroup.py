@@ -9,14 +9,13 @@ one and reruns produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import CapExceeded, DegreeMismatch, GroupError, Caps, DEFAULT_CAPS
 from .group import (ElementIndex, NumberClosure, PermGroup, Permutation, combine_blockwise,
                     decompose_blockwise, group_from_elements, orbit, pick_generators,
                     subgroup_check, trivial_group)
 from .numth import is_p_power, is_prime, p_part, prime_divisors
-from .perm import conjugation, inverse_images
+from .perm import conjugation, gather, inverse_images
 
 
 @dataclass(frozen=True)
@@ -78,15 +77,14 @@ def _conjugating_into(elements, gens, target_set):
     """The positions i, ascending, with h^elements[i] in target_set for every h in gens.
 
     h^x as in Permutation.conj, with each h's gather taken once: the tuples
-    it gives hash and compare as the permutations they list, and a
-    non-identity h has degree >= 2, so every gather gives a tuple.
+    it gives hash and compare as the permutations they list.
     """
     if not gens:
         yield from range(len(elements))
         return
-    gathers = [itemgetter(*h) for h in gens]
+    gathers = [gather(h) for h in gens]
     for i, x in enumerate(elements):
-        inverse = itemgetter(*inverse_images(x))
+        inverse = gather(inverse_images(x))
         if all(inverse(h(x)) in target_set for h in gathers):
             yield i
 

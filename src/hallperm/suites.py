@@ -19,8 +19,8 @@ from . import certificates as certs
 from .catalog import build_catalog, parse_group_spec
 from .errors import CapExceeded, Caps, DEFAULT_CAPS
 from .group import PermGroup, coset_action, inflate, intersect_groups
-from .hall import (all_normal_subgroups, classify, is_pi_separable, is_solvable,
-                   pi_part, towers_conjugacy_check)
+from .hall import (all_normal_subgroups, classify, hall_subgroups, is_pi_separable, is_solvable,
+                   pi_part, sylow_tower, towers_conjugacy_check)
 from .numth import prime_divisors
 from .pronormal import (commuting_product_pronormality, hall_factorization_pronormality,
                         is_pronormal, is_strongly_pronormal, pronormal_in_normal_closure)
@@ -299,7 +299,6 @@ def _maximal_subgroup_reps(group: PermGroup, caps: Caps):
 
 
 def _towers_group(result, name, group, caps):
-    from .hall import hall_subgroups, sylow_tower
     for pi in pi_subsets(group.order()):
         with _guard(result, name, pi):
             report = towers_conjugacy_check(group, pi, caps)

@@ -617,6 +617,10 @@ _ENVELOPE_AND_HALL_FORGERIES = {
     "rep not a pi-Hall subgroup": (lambda cert: cert["payload"].update(
         reps=[certs.subgroup_payload(_group(3, ["(0 1 2)"]))]),
         "a representative is not a pi-Hall subgroup"),
+    # pi is read as a PrimeSet: p = 1 or -1 would make the p-part loops run forever
+    "pi = {1}": (lambda cert: cert.update(pi=[1]), "replay error: 1 is not prime"),
+    "pi = {-1}": (lambda cert: cert.update(pi=[-1]), "replay error: -1 is not prime"),
+    "pi = {4}": (lambda cert: cert.update(pi=[4]), "replay error: 4 is not prime"),
 }
 
 

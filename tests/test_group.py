@@ -3,6 +3,7 @@ import pytest
 from hallperm.errors import CapExceeded, NotASubgroup, Caps
 from hallperm.group import (PermGroup, coset_action, intersect_groups, normal_closure,
                             parse_generator_text, right_transversal, trivial_group)
+from hallperm.group import BlockSlots, combine_blockwise, inflate
 from hallperm.perm import Permutation
 from hallperm.constructions import symmetric, wreath_regular
 
@@ -122,7 +123,7 @@ def test_coset_action_degenerate(sym5):
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_coset_action_and_orbit_test_below_degree_2(degree):
-    # itemgetter needs two points: the gathers there take their own branch
+    # a gather over zero points or one point is perm.gather's Python map, not itemgetter
     from hallperm.errors import DEFAULT_CAPS, DegreeMismatch
     from hallperm.pronormal import _joint_meets_coset
     group = trivial_group(degree)
@@ -189,3 +190,34 @@ def test_contains_reads_the_sorted_elements_without_building_their_set():
     assert not c3.contains(perm("(0 1)", 5))
     assert not c3.contains(perm("(0 4)(1 3)", 5))     # beyond the greatest element
     assert "element_set" not in c3._cache
+
+
+def test_block_slots_read_one_point_blocks():
+    slots = BlockSlots(((0,), (1, 2, 3), (4,)))
+    swap = perm("(0 4)(1 2 3)", 5)
+    fix = perm("(1 3)", 5)
+    assert slots.actions([swap, fix]) == [perm("(0 2)", 3), Permutation.identity(3)]
+    assert slots.actions([perm("(0 1)", 5)]) is None
+    assert [slots.read(swap, i) for i in range(3)] == [
+        Permutation.identity(1), perm("(0 1 2)", 3), Permutation.identity(1)]
+    assert [slots.restrict(fix, i) for i in range(3)] == [
+        Permutation.identity(1), perm("(0 2)", 3), Permutation.identity(1)]
+    assert slots.restrict(swap, 0) is None and slots.restrict(swap, 1) == perm("(0 1 2)", 3)
+
+
+@pytest.mark.parametrize("degree, blocks", [(0, []), (1, []), (1, [(0,)])])
+def test_inflate_and_combine_blockwise_at_degrees_0_and_1(degree, blocks):
+    identity = Permutation.identity(degree)
+    parts = [Permutation.identity(1) for _ in blocks]
+    assert combine_blockwise(parts, blocks, degree) == identity
+    assert type(combine_blockwise(parts, blocks, degree)) is Permutation
+    for block in blocks:
+        assert inflate(Permutation.identity(1), block, degree) == identity
+
+
+def test_inflate_and_combine_blockwise_over_one_point_blocks():
+    blocks = [(0,), (1, 2, 3), (4,)]
+    one = Permutation.identity(1)
+    assert inflate(one, blocks[0], 5) == inflate(one, blocks[2], 5) == Permutation.identity(5)
+    assert inflate(perm("(0 1 2)", 3), blocks[1], 5) == perm("(1 2 3)", 5)
+    assert combine_blockwise([one, perm("(0 2)", 3), one], blocks, 5) == perm("(1 3)", 5)

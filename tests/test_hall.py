@@ -6,6 +6,7 @@ from hallperm.group import PermGroup
 from hallperm.hall import (PrimeSet, all_normal_subgroups, classify, hall_subgroups,
                            is_hall_subgroup, is_pi_free, is_pi_number, is_pi_separable,
                            is_solvable, pi_part, sylow_tower, towers_conjugacy_check)
+from hallperm.numth import is_p_power, p_part
 from hallperm.subgroup import is_conjugate
 
 from conftest import perm
@@ -24,6 +25,17 @@ def test_pi_part_values():
     assert pi_part(4080, {3, 5}) == 15
     assert pi_part(100, set()) == 1
     assert pi_part(1, {2}) == 1
+
+
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_p_parts_need_a_base_of_at_least_2(p):
+    # n % 1 == n % -1 == 0, so dividing out such a p would never stop
+    with pytest.raises(ValueError):
+        p_part(12, p)
+    with pytest.raises(ValueError):
+        is_p_power(12, p)
+    with pytest.raises(ValueError):
+        is_pi_number(12, {2, p})
 
 
 def pi_part_oracle(n, pi):

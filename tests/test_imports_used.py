@@ -30,3 +30,17 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _uses_itemgetter(tree):
+    return any((isinstance(node, ast.ImportFrom) and any(a.name == "itemgetter" for a in node.names))
+               or (isinstance(node, ast.Attribute) and node.attr == "itemgetter")
+               for node in ast.walk(tree))
+
+
+def test_only_perm_uses_itemgetter():
+    # perm.gather hides itemgetter's arity quirks: itemgetter() raises and
+    # itemgetter(p) returns a scalar, so every other module gathers through it
+    package = pathlib.Path(hallperm.__file__).parent
+    users = [p.name for p in sorted(package.glob("*.py")) if _uses_itemgetter(ast.parse(p.read_text()))]
+    assert users == ["perm.py"]

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from hallperm.errors import DegreeMismatch
 from hallperm.perm import Permutation, compose, conjugation
+from hallperm.perm import gather
 
 from conftest import perm
 
@@ -160,3 +161,11 @@ def test_conj_rejects_degree_mismatch_in_both_orders(n, m):
             h.conj(g)
         with pytest.raises(DegreeMismatch):
             conjugation(g)(h)
+
+
+@pytest.mark.parametrize("points", [(), (3,), [3, 0], (4, 1, 1, 0)])
+def test_gather_reads_the_points_in_order(points):
+    # itemgetter() raises and itemgetter(p) gives a scalar: every arity gives a tuple
+    x = Permutation((2, 0, 4, 1, 3))
+    assert gather(points)(x) == tuple(x[p] for p in points)
+    assert type(gather(points)(x)) is tuple
