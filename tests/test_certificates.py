@@ -620,7 +620,10 @@ _ENVELOPE_AND_HALL_FORGERIES = {
     # pi is read as a PrimeSet: p = 1 or -1 would make the p-part loops run forever
     "pi = {1}": (lambda cert: cert.update(pi=[1]), "replay error: 1 is not prime"),
     "pi = {-1}": (lambda cert: cert.update(pi=[-1]), "replay error: -1 is not prime"),
-    "pi = {4}": (lambda cert: cert.update(pi=[4]), "replay error: 4 is not prime"),
+    # 4 and the Mersenne prime 2**89 - 1 do not divide |sym:3| = 6, so they are
+    # dropped unchecked: {4} and {2**89 - 1} leave pi empty
+    "pi = {4}": (lambda cert: cert.update(pi=[4]), "hall order mismatch"),
+    "pi = {2**89 - 1}": (lambda cert: cert.update(pi=[2**89 - 1]), "hall order mismatch"),
 }
 
 
@@ -630,3 +633,11 @@ def test_forged_envelopes_and_hall_classes_are_rejected_by_name(name):
     assert certs.verify_certificate(_forge_sym3_hall_classes(lambda cert: None)) == (
         True, "representatives are pi-Hall, pairwise non-conjugate and exhaust the classes")
     assert certs.verify_certificate(_forge_sym3_hall_classes(edit)) == (False, reason)
+
+
+def test_a_large_prime_off_the_group_order_replays_without_a_primality_test():
+    # 2**89 - 1 is prime but divides no |G|, so {2, 2**89 - 1} names the same Hall
+    # subgroups of sym:3 as {2}; trial division of it would take ~10**13 steps
+    cert = _forge_sym3_hall_classes(lambda cert: cert.update(pi=[2, 2**89 - 1]))
+    assert certs.verify_certificate(cert) == (
+        True, "representatives are pi-Hall, pairwise non-conjugate and exhaust the classes")

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from hallperm.catalog import build_catalog, parse_group_spec
-from hallperm.constructions import cyclic, direct_product, symmetric
 from hallperm.constructions import wreath_hall_pair
 from hallperm.errors import GroupError
 from hallperm.group import (PermGroup, StabilizerChain, attach_block_structure, group_over_blocks,
@@ -166,6 +165,8 @@ def test_split_membership_agrees_with_schreier_sims(split_wreath_joint):
 
 
 PRODUCTS = tuple(e.name for e in build_catalog(2000) if e.name.startswith("product("))
+# one-point blocks ((0,), (1, 2, 3), (4,)) around a single nontrivial factor
+PRODUCTS += ("product(cyc:1,sym:3,cyc:1)",)
 
 
 @pytest.mark.parametrize("spec", PRODUCTS)
@@ -192,18 +193,6 @@ def test_assembled_chain_agrees_with_schreier_sims_on_products(spec):
 BLOCKED = tuple(e.name for e in build_catalog(60) if e.group.factors is not None)
 # blocks ((0,), (1, 2, 3), (4,)): group_over_blocks splits it, with order 6
 BLOCKED += ("product(cyc:1,sym:3,cyc:1)",)
-
-
-def test_a_chain_assembled_over_one_point_blocks_matches_the_plain_build():
-    product = direct_product([cyclic(1), symmetric(3), cyclic(1)])
-    plain = PermGroup(product.degree, product.generators)
-    # given the order, attach_block_structure builds no chain on the copy
-    split = attach_block_structure(PermGroup(product.degree, product.generators),
-                                   product.factors.blocks, product.order())
-    assert split.factors.blocks == ((0,), (1, 2, 3), (4,)) and split._chain is None
-    split.chain.check_invariants()
-    assert split.chain.order() == plain.order() == 6
-    assert split.elements() == plain.elements()
 
 
 def _words(group, rng, count=60, length=20):
