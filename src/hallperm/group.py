@@ -14,9 +14,12 @@ add_generator; the drain then stops as soon as the chain's order reaches it,
 which is sound because a chain's order never exceeds that of the group its
 strong generators come from.  group_over_blocks proves such a bound from a
 block system and seeds the chain with a direct product over the blocks.
-The stop depends only on the order, so the build stays deterministic.  When
-the direct product already has the bound's order, no chain is assembled on
-the whole degree.  Block-sized work reads permutations through BlockSlots.
+When the direct product already has the bound's order, no chain is
+assembled on the whole degree.  split_join, given the proven factors of a
+group holding both joined groups, bounds each joint component by the order
+of that group's factor on its block, and a component that reaches it is
+that factor group.  The stop depends only on the order, so the build stays
+deterministic.  Block-sized work reads permutations through BlockSlots.
 """
 
 from __future__ import annotations
@@ -988,7 +991,8 @@ def split_conjugate(a: PermGroup, g: Permutation, conj_gens) -> Optional[PermGro
     return split_group(a.degree, conj_gens, blocks, components)
 
 
-def split_join(a: PermGroup, b: PermGroup) -> PermGroup:
+def split_join(a: PermGroup, b: PermGroup,
+               within: Optional[DirectFactorStructure] = None) -> PermGroup:
     """<a, b> for split_groups a and b over the same blocks.
 
     When A = prod A_i and B = prod B_i over the blocks, <A, B> is
@@ -997,19 +1001,36 @@ def split_join(a: PermGroup, b: PermGroup) -> PermGroup:
     projections.  Each component is A_i itself when B_i lies in it, else
     grown from a copy of A_i's chain by B_i's generators; no Schreier-Sims
     runs from scratch, and none on the whole degree.
+
+    within, when given, is the proven factor structure of a group G over
+    the same blocks whose block kernel projects onto within's factor F_i on
+    block i: a split G (the product of its F_i) or a wreath_regular G (whose
+    kernel is base^p).  The caller proves that a and b lie in G; as split
+    groups they fix every block, so they lie in that kernel and
+    <A_i, B_i> <= F_i.  Each component's drain then stops at |F_i| (see
+    _drain), and a component that reaches it is F_i, equal orders meaning
+    equal groups: the component is then the F_i object itself, with its
+    chain and element caches.
     """
     blocks = a.factors.blocks
-    if b.factors.blocks != blocks:
-        raise GroupError("split_join needs two groups split over the same blocks")
+    for other in (b.factors, within):
+        if other is not None and other.blocks != blocks:
+            raise GroupError("split_join needs groups split over the same blocks")
+    bounds = within.factor_groups if within is not None else (None,) * len(blocks)
     components = []
-    for x, y in zip(a.factors.factor_groups, b.factors.factor_groups):
+    for x, y, f in zip(a.factors.factor_groups, b.factors.factor_groups, bounds):
         if all(x.contains(s) for s in y.generators):
             components.append(x)
             continue
+        bound = None if f is None else f.order()
         chain = x.chain.copy()
         for s in y.generators:
-            chain.add_generator(s)
-        components.append(PermGroup(x.degree, x.generators + y.generators, chain=chain))
+            chain.add_generator(s, bound)
+            if chain.order() == bound:
+                components.append(f)
+                break
+        else:
+            components.append(PermGroup(x.degree, x.generators + y.generators, chain=chain))
     return split_group(a.degree, a.generators + b.generators, blocks, components)
 
 

@@ -35,8 +35,10 @@ H_i^sigma_i, so H^g's component chains are H's relabelled
 (StabilizerChain.conjugate); a g that does not map the blocks onto blocks
 gets H^g's components projected, with their orders checked against |H|.
 Each <H_i, (H^g)_i> is H_i when (H^g)_i lies in it, else grown from a copy
-of H_i's chain.  H^g and J are split groups: order() and contains() read
-the components, and a chain on the whole degree is assembled from theirs
+of H_i's chain, in a decision only up to the order of G's factor F_i on
+that block, which bounds it: a component that reaches it is F_i itself.
+H^g and J are split groups: order() and contains() read the components,
+and a chain on the whole degree is assembled from theirs
 (StabilizerChain.direct_product) only when asked for, which deciding and
 replaying never do.  Where H does not split, or G is enumerable, J is
 formed as before.
@@ -203,7 +205,7 @@ def _joint_of(h: PermGroup, conj_gens, blocks, index=None) -> PermGroup:
     return joint
 
 
-def _split_instance(h: PermGroup, g: Permutation, conj_gens, blocks):
+def _split_instance(h: PermGroup, g: Permutation, conj_gens, blocks, within=None):
     """(joint, h, h^g) for a parent beyond enumeration, split over blocks by
     the split-join lemma when it applies; conj_gens are h's generators ^ g.
 
@@ -215,6 +217,13 @@ def _split_instance(h: PermGroup, g: Permutation, conj_gens, blocks):
     built on the whole degree.  Where h does not split, the joint's chain is
     built by Schreier-Sims and attach_block_structure looks for its split,
     as in _joint_of.
+
+    within is the parent's factor structure, for a caller that has checked
+    h <= parent and g in parent: then h and h^g lie in the parent's block
+    kernel, so each joint component grows only up to the order of the
+    parent's factor on its block, and one that reaches it is that factor
+    group (split_join).  Replay passes none and grows every component to
+    its end.
     """
     hg = PermGroup(h.degree, conj_gens)
     split_h = attach_block_structure(h, blocks) if blocks else None
@@ -224,7 +233,7 @@ def _split_instance(h: PermGroup, g: Permutation, conj_gens, blocks):
                     or attach_block_structure(hg, blocks, h.order()))
     if split_hg is None:
         return _joint_of(h, conj_gens, blocks), h, hg
-    return split_join(split_h, split_hg), split_h, split_hg
+    return split_join(split_h, split_hg, within), split_h, split_hg
 
 
 def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
@@ -238,7 +247,7 @@ def _decide_coset(parent: PermGroup, h: PermGroup, g: Permutation, conj_gens,
     """
     blocks = parent.factors and parent.factors.blocks
     if norm is None:
-        joint, h_split, hg = _split_instance(h, g, conj_gens, blocks)
+        joint, h_split, hg = _split_instance(h, g, conj_gens, blocks, parent.factors)
         if joint.contains(g):
             return PronormalityReport(h, parent, True, checked_coset_count=1)
     elif _joint_meets_coset(parent, norm, h, conj_gens, g, {0}, caps):

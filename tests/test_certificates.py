@@ -598,6 +598,54 @@ def test_wreath_replay_works_at_block_size(monkeypatch):
         assert counts["direct_product"] <= 1 and counts["add_generator"] <= 4, counts
 
 
+def test_warm_wreath_decides_reuse_the_block_factors(monkeypatch):
+    # a joint component that fills its block is G's factor there, the base
+    # psl2:7, whose element list is built once; a warm pass of the 30 seeded
+    # decides of the wreath-certify benchmark enumerates only the 24-element
+    # components of H^g it scans against, and sifts 733 times.  Grown to
+    # their ends and enumerated afresh, the components took 3,042 sifts and
+    # 4,992 elements
+    import random
+    from hallperm.group import StabilizerChain
+    pi = frozenset({2, 3})
+    base = parse_group_spec("psl2:7")
+    u, v = hall_subgroups(base, pi)[:2]
+    pair = wreath_hall_pair(base, u, v, pi, 5)
+    group, h = pair.wreath.group, pair.hall_first.group
+    rng = random.Random(1)
+    witnesses = []
+    for _ in range(30):
+        g = group.identity
+        for _ in range(20):
+            g = g * rng.choice(group.generators)
+        witnesses.append(g)
+    sift, iter_elements = StabilizerChain.sift, StabilizerChain.iter_elements
+    sifts, enumerated = [], []
+
+    def counted_sift(chain, p, start=0):
+        sifts.append(chain.degree)
+        return sift(chain, p, start)
+
+    def counted_elements(chain):
+        elements = iter_elements(chain)
+        enumerated.append(len(elements))
+        return elements
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
+    monkeypatch.setattr(StabilizerChain, "iter_elements", counted_elements)
+    digests = []
+    for _ in range(2):
+        sifts.clear()
+        enumerated.clear()
+        for g in witnesses:
+            report = pronormality_instance(group, h, g)
+            if report.verdict is False:
+                digests.append(certs.non_pronormality_certificate(group, report, pi=pi)["digest"])
+    assert digests[:len(digests) // 2] == digests[len(digests) // 2:] and len(digests) == 52
+    assert set(enumerated) == {24} and sum(enumerated) == 624
+    assert len(sifts) == 733
+
+
 def _forge_sym3_hall_classes(edit):
     """The genuine sym:3, pi = {2} hall-classes certificate, edited and re-digested."""
     cert, _ = _hall_classes(False)

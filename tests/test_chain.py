@@ -164,6 +164,16 @@ def test_split_membership_agrees_with_schreier_sims(split_wreath_joint):
     assert False in verdicts[40:80] and all(verdicts[80:])
 
 
+@pytest.mark.parametrize("which", ["b", "within"])
+def test_split_join_rejects_groups_over_other_blocks(which):
+    # sym:2 x sym:2 x sym:2 against sym:2 x sym:4 on the same 6 points
+    a = parse_group_spec("product(sym:2,sym:2,sym:2)")
+    other = parse_group_spec("product(sym:2,sym:4)")
+    b, within = (other, a.factors) if which == "b" else (a, other.factors)
+    with pytest.raises(GroupError, match="same blocks"):
+        split_join(a, b, within)
+
+
 PRODUCTS = tuple(e.name for e in build_catalog(2000) if e.name.startswith("product("))
 # one-point blocks ((0,), (1, 2, 3), (4,)) around a single nontrivial factor
 PRODUCTS += ("product(cyc:1,sym:3,cyc:1)",)

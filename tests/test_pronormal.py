@@ -525,6 +525,57 @@ def test_relabelled_split_path_agrees_with_schreier_sims(theorem3_pair):
     assert len(seeded) == 40 and True in outcomes and False in outcomes
 
 
+# (base, pi, p, components that fill their block over the 40 seeded g):
+# the theorem3 pair, and psl2:11 with its A4 and D12 classes at {2,3} and
+# its two A5 classes at {2,3,5}.  Half of the g are words in the block-0
+# copy of the base, which leave the other blocks' components at H's.
+_BOUNDED_JOIN_CASES = [("psl2:7", {2, 3}, 5, 85), ("psl2:11", {2, 3}, 5, 87),
+                       ("psl2:11", {2, 3, 5}, 7, 98)]
+
+
+@pytest.mark.parametrize("base, pi, p, filled", _BOUNDED_JOIN_CASES)
+def test_bounded_split_join_agrees_with_the_unbounded_one(monkeypatch, base, pi, p, filled):
+    # each joint component grows only up to its block factor of G, and one
+    # that reaches it is that factor itself; the joint, the verdict, the
+    # failure data and the certificate are those of the unbounded growth
+    from hallperm import certificates as certs, pronormal
+    from hallperm.catalog import parse_group_spec
+    base = parse_group_spec(base)
+    u, v = hall_subgroups(base, pi)[:2]
+    pair = wreath_hall_pair(base, u, v, pi, p)
+    group, h = pair.wreath.group, pair.hall_first.group
+    blocks, factors = group.factors.blocks, group.factors.factor_groups
+    split_instance = pronormal._split_instance
+    seeded = _seeded_witnesses(group, pair.tau, 18)
+    components = reached = 0
+    for g in seeded:
+        conj_gens = tuple(x.conj(g) for x in h.generators)
+        bounded = split_instance(h, g, conj_gens, blocks, group.factors)[0]
+        unbounded = split_instance(h, g, conj_gens, blocks)[0]
+        assert bounded.order() == unbounded.order()
+        for c, old, f in zip(bounded.factors.factor_groups, unbounded.factors.factor_groups,
+                             factors):
+            assert c.element_set() == old.element_set()
+            assert (c is f) == (c.order() == f.order())
+            components += 1
+            reached += c is f
+    assert (reached, components) == (filled, 40 * p)
+
+    def run():
+        reports = [pronormality_instance(group, h, g) for g in seeded]
+        return [(r.verdict, r.failure and (r.failure.mode, r.failure.scanned,
+                                           r.failure.failing_block),
+                 r.verdict is False and certs.non_pronormality_certificate(group, r)["digest"])
+                for r in reports]
+
+    outcomes = run()
+    monkeypatch.setattr(pronormal, "_split_instance",
+                        lambda h, g, conj_gens, blocks, within: split_instance(
+                            h, g, conj_gens, blocks))
+    assert run() == outcomes
+    assert {verdict for verdict, _, _ in outcomes} == {True, False}
+
+
 def test_normal_subject_leaves_no_coset_table():
     from hallperm.catalog import parse_group_spec
     group = parse_group_spec("sym:8")
